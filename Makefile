@@ -17,7 +17,8 @@ test-out:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 
 # Remote-collection suites: RPC framing/retries, health tracking, the
-# RemoteCoordinator epoch loop, and the chaos harness. Every test in the
+# HierarchicalCoordinator epoch loop (flat and tree, over simulated and
+# TCP links), and the chaos harness. Every test in the
 # repo runs under the SIGALRM watchdog in tests/conftest.py; this target
 # tightens it so a wedged socket fails fast instead of hanging the run.
 test-network:

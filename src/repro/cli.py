@@ -17,8 +17,9 @@ Subcommands
 - ``poll`` — poll a running agent once and print the estimates
   (Figure 2's control plane).
 - ``coordinate`` — fault-tolerant epoch loop over several running
-  agents: retries with backoff, auto-marks unreachable switches failed,
-  probes them back, and prints per-epoch coverage.
+  agents, flat by default or as a rack/pod/root tree (``--fanout``):
+  retries with backoff, auto-marks unreachable switches failed, probes
+  them back, and prints per-epoch coverage.
 - ``metrics`` — run a (synthetic or given) trace through the fully
   instrumented stack and export the metrics registry as Prometheus-style
   text or JSON.  ``run`` and ``coordinate`` also take
@@ -191,13 +192,13 @@ def _add_coordinate(sub: argparse._SubParsersAction) -> None:
                    help="consecutive failures before a switch is FAILED")
     p.add_argument("--probe-every", type=int, default=1,
                    help="probe FAILED switches every N epochs")
-    p.add_argument("--topology", choices=["flat", "tree"], default="flat",
-                   help="flat fan-in (default) or a rack/pod/root "
-                        "aggregation tree with re-parenting")
-    p.add_argument("--fanout", type=int, default=8,
-                   help="children per tree aggregator (tree topology)")
+    p.add_argument("--fanout", type=int, default=None,
+                   help="children per aggregator: a rack/pod/root tree "
+                        "with re-parenting (default: every agent under "
+                        "the root, a flat fan-in)")
     p.add_argument("--transfer", choices=["raw", "delta"], default="raw",
-                   help="full-sketch polls or delta-compressed frames")
+                   help="full frames every poll or delta-compressed "
+                        "frames against the last acked epoch")
     p.add_argument("--min-coverage", type=float, default=0.0,
                    help="fraction of switches an epoch must represent")
     p.add_argument("--quorum", type=float, default=0.0,
@@ -839,13 +840,17 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
 
 
 def _coordinate_loop(args: argparse.Namespace) -> int:
+    import dataclasses
     import time
 
     from repro.controlplane.apps.cardinality import CardinalityApp
     from repro.controlplane.apps.entropy import EntropyApp
     from repro.controlplane.apps.heavy_hitters import HeavyHitterApp
+    from repro.controlplane.rpc import RemoteSwitchClient
+    from repro.errors import ConfigurationError
     from repro.network.health import HealthTracker
-    from repro.network.remote import RemoteCoordinator
+    from repro.network.hierarchy import (
+        AgentLink, HierarchicalCoordinator, ResiliencePolicy)
     from repro.core.universal import UniversalSketch
 
     agents = {}
@@ -861,62 +866,49 @@ def _coordinate_loop(args: argparse.Namespace) -> int:
     budget = args.memory_kb * 1024
     factory = lambda: UniversalSketch.for_memory_budget(  # noqa: E731
         budget, levels=12, rows=5, heap_size=64, seed=1)
+    retry = _retry_policy(args)
     health = HealthTracker(agents, suspect_after=1,
                            fail_after=args.fail_after,
                            probe_every=args.probe_every,
-                           probe_policy=_retry_policy(args))
-    if args.topology == "tree":
-        import dataclasses
-
-        from repro.controlplane.rpc import RemoteSwitchClient
-        from repro.network.hierarchy import (
-            AgentLink, HierarchicalCoordinator, ResiliencePolicy)
-
-        retry = _retry_policy(args)
-        clients = {
-            name: RemoteSwitchClient(
-                host, port, timeout=args.timeout,
-                retry=dataclasses.replace(retry, seed=retry.seed + index))
-            for index, (name, (host, port)) in enumerate(agents.items())}
-        coordinator = HierarchicalCoordinator(
-            {name: AgentLink(client, program=args.program)
-             for name, client in clients.items()},
-            sketch_factory=factory, fanout=args.fanout, health=health,
-            transfer=args.transfer,
-            policy=ResiliencePolicy(min_coverage=args.min_coverage,
-                                    quorum=args.quorum,
-                                    fail_open=args.fail_mode == "open"))
-        closer = lambda: [c.close() for c in clients.values()]  # noqa: E731
+                           probe_policy=retry)
+    # Flat by default: every agent under the root (a tree needs >= 2).
+    fanout = args.fanout if args.fanout is not None \
+        else max(2, len(agents))
+    clients = {
+        name: RemoteSwitchClient(
+            host, port, timeout=args.timeout,
+            retry=dataclasses.replace(retry, seed=retry.seed + index))
+        for index, (name, (host, port)) in enumerate(agents.items())}
+    try:
+        try:
+            coordinator = HierarchicalCoordinator(
+                {name: AgentLink(client, program=args.program)
+                 for name, client in clients.items()},
+                sketch_factory=factory, fanout=fanout,
+                health=health, transfer=args.transfer,
+                policy=ResiliencePolicy(min_coverage=args.min_coverage,
+                                        quorum=args.quorum,
+                                        fail_open=args.fail_mode == "open"))
+        except ConfigurationError as exc:
+            print(f"{exc}", file=sys.stderr)
+            return 2
         print(f"coordinating {len(agents)} agent(s) over "
               f"{coordinator.plan.describe()}")
-    else:
-        coordinator = RemoteCoordinator(
-            agents, sketch_factory=factory, program=args.program,
-            retry=_retry_policy(args), timeout=args.timeout,
-            health=health, transfer=args.transfer)
-        closer = coordinator.close
-        print(f"coordinating {len(agents)} agent(s): {', '.join(agents)}")
-    coordinator.register(CardinalityApp()).register(EntropyApp()) \
-               .register(HeavyHitterApp(alpha=args.alpha))
-    try:
+        coordinator.register(CardinalityApp()).register(EntropyApp()) \
+                   .register(HeavyHitterApp(alpha=args.alpha))
         epoch = 0
         while args.epochs <= 0 or epoch < args.epochs:
             report = coordinator.run_epoch()
             cov = report["coverage"]
-            polled = cov.get("switches_polled",
-                             cov.get("switches_covered"))
             line = (f"epoch {report.epoch_index}: "
-                    f"{polled}/{cov['switches_total']} "
-                    f"switches, {cov['packets_covered']} packets")
-            if "status" in cov:
-                line += f", status={cov['status']}"
-            if cov.get("bytes_wire"):
-                line += f", wire={cov['bytes_wire']}B"
+                    f"{cov['switches_covered']}/{cov['switches_total']} "
+                    f"switches, {cov['packets_covered']} packets, "
+                    f"status={cov['status']}, wire={cov['bytes_wire']}B")
             if cov["failed"]:
                 line += f", failed={','.join(cov['failed'])}"
             if cov["recovered"]:
                 line += f", recovered={','.join(cov['recovered'])}"
-            if cov.get("retries"):
+            if cov["retries"]:
                 line += f", retries={cov['retries']}"
             if "cardinality" in report.results:
                 line += (f" | distinct="
@@ -929,7 +921,8 @@ def _coordinate_loop(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        closer()
+        for client in clients.values():
+            client.close()
     return 0
 
 

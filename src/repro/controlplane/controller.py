@@ -36,7 +36,63 @@ class EpochReport:
         return self.results[app_name]
 
 
-class Controller:
+class AppHost:
+    """Registered estimation apps and their per-epoch fan-out.
+
+    Shared by :class:`Controller` and
+    :class:`~repro.network.hierarchy.HierarchicalCoordinator`, so both
+    reject duplicate app names, build one query snapshot per published
+    epoch, and time each app under ``univmon_app_seconds{app=}``.
+    """
+
+    def __init__(self) -> None:
+        self._apps: List[MonitoringApp] = []
+
+    def register(self, app: MonitoringApp):
+        """Add an estimation app (chainable)."""
+        if any(existing.name == app.name for existing in self._apps):
+            raise ConfigurationError(f"duplicate app name {app.name!r}")
+        self._apps.append(app)
+        return self
+
+    @property
+    def apps(self) -> List[MonitoringApp]:
+        return list(self._apps)
+
+    def run_apps(self, sketch, epoch_index: int, report: EpochReport,
+                 trace: Optional[Trace] = None) -> None:
+        """Hand one epoch's sketch to every app, results into ``report``.
+
+        The epoch's query snapshot is materialised once, up front: every
+        app reads the (immutable-from-here) sketch, so they all share
+        that build via the version-guarded cache.  Trace-aware apps
+        (e.g. the detection pipeline, which feeds zoom and reversible
+        sketches from raw packets) get ``trace`` before estimation;
+        sketch-only apps don't implement the hook.
+        """
+        if not self._apps:
+            return
+        QueryEngine(sketch).warm()
+        if trace is not None:
+            for app in self._apps:
+                observe = getattr(app, "observe_trace", None)
+                if observe is not None:
+                    observe(trace)
+        reg = get_registry()
+        for app in self._apps:
+            with reg.span("univmon_app_seconds",
+                          help="per-app estimation latency",
+                          app=app.name):
+                report.results[app.name] = app.on_sketch(sketch,
+                                                         epoch_index)
+
+    def reset(self) -> None:
+        """Drop cross-epoch app state (trace boundary)."""
+        for app in self._apps:
+            app.reset()
+
+
+class Controller(AppHost):
     """Drives the poll loop and fans sealed sketches out to the apps.
 
     Parameters
@@ -66,6 +122,7 @@ class Controller:
         if workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {workers}")
+        super().__init__()
         self.workers = workers
         if sketch_factory is None:
             sketch_factory = lambda: UniversalSketch(  # noqa: E731
@@ -74,18 +131,6 @@ class Controller:
         self.switch = switch or MonitoredSwitch("s1")
         self.program = self.switch.attach("univmon", sketch_factory,
                                           key_function)
-        self._apps: List[MonitoringApp] = []
-
-    def register(self, app: MonitoringApp) -> "Controller":
-        """Add an estimation app (chainable)."""
-        if any(existing.name == app.name for existing in self._apps):
-            raise ConfigurationError(f"duplicate app name {app.name!r}")
-        self._apps.append(app)
-        return self
-
-    @property
-    def apps(self) -> List[MonitoringApp]:
-        return list(self._apps)
 
     # ------------------------------------------------------------------ #
     # the poll loop
@@ -156,31 +201,8 @@ class Controller:
             if trace is not None and len(trace) else 0.0
         report = EpochReport(epoch_index=epoch_index, start_time=t0,
                              end_time=t1, packets=packets)
-        if self._apps:
-            # Materialise the epoch's query snapshot once, up front: every
-            # app below reads the sealed (immutable-from-here) sketch, so
-            # they all share this build via the version-guarded cache.
-            QueryEngine(sealed).warm()
-        if trace is not None:
-            for app in self._apps:
-                # Trace-aware apps (e.g. the detection pipeline, which
-                # feeds zoom and reversible sketches from raw packets) get
-                # the epoch's trace before estimation; sketch-only apps
-                # don't implement the hook.
-                observe = getattr(app, "observe_trace", None)
-                if observe is not None:
-                    observe(trace)
-        for app in self._apps:
-            with reg.span("univmon_app_seconds",
-                          help="per-app estimation latency",
-                          app=app.name):
-                report.results[app.name] = app.on_sketch(sealed, epoch_index)
+        self.run_apps(sealed, epoch_index, report, trace=trace)
         return report
-
-    def reset(self) -> None:
-        """Drop cross-epoch app state (trace boundary)."""
-        for app in self._apps:
-            app.reset()
 
     def close(self) -> None:
         """Release the switch's persistent shard worker pool (no-op for

@@ -49,10 +49,11 @@ reconnects automatically; every call retries transport failures under a
 :class:`RetryPolicy` (exponential backoff, deterministic seeded jitter).
 Server-reported errors (status 1) are *not* retried — the exchange
 succeeded, the answer was an error.  Note the one semantic wrinkle:
-``POLL`` swaps the epoch sketch before the response travels, so a retry
-after a *response* loss returns the next (near-empty) epoch; the
-coverage counters of :class:`~repro.network.remote.RemoteCoordinator`
-make that loss visible instead of silent.
+``POLL`` and ``DELTA`` swap the epoch sketch before the response
+travels, so a retry after a *response* loss returns the next
+(near-empty) epoch; the coverage report of
+:class:`~repro.network.hierarchy.HierarchicalCoordinator` makes that
+loss visible instead of silent.
 
 Concurrency contract: POLL/MEMORY/STATS hold the agent's lock, so a
 poll atomically swaps the program's sketch.  The data-plane feed
@@ -352,8 +353,9 @@ class SwitchAgent:
                     raise RpcError(
                         f"base_epoch must be an integer, got "
                         f"{parts[2]!r}") from None
-                # Imported lazily: repro.network pulls this module back
-                # in through its coordinator re-exports.
+                # Imported lazily: repro.network imports the control
+                # plane (the tree builds on the controller), so a
+                # module-level import would be circular.
                 from repro.network.codec import DeltaEncoder
                 with self._lock:
                     encoder = self._encoders.get(parts[1])
@@ -404,7 +406,6 @@ class RemoteSwitchClient:
         self._rng = random.Random(self.retry.seed)
         self._max_frame_bytes = max_frame_bytes
         self._sock: Optional[socket.socket] = None
-        self._decoders: Dict[str, object] = {}  # program -> DeltaDecoder
 
     # -- connection management ---------------------------------------- #
 
@@ -520,22 +521,3 @@ class RemoteSwitchClient:
         the raw frame bytes; decode with a
         :class:`~repro.network.codec.DeltaDecoder`."""
         return self._call(f"DELTA {program} {int(base_epoch)}")
-
-    def poll_delta(self, program: str):
-        """Poll-and-reset one program over delta transfer, managing the
-        decoder state internally.  A frame this side cannot apply (peer
-        restarted mid-lineage, corrupt frame) resets the decoder and
-        forces exactly one full-frame re-poll — note that re-poll
-        returns the *next* sealed epoch, so the coverage accounting of
-        the caller should treat it like any other lost response."""
-        from repro.network.codec import NO_BASE, DeltaDecoder
-        from repro.errors import CodecError
-        decoder = self._decoders.get(program)
-        if decoder is None:
-            decoder = self._decoders[program] = DeltaDecoder()
-        try:
-            return decoder.decode(
-                self.poll_frame(program, decoder.base_epoch))
-        except CodecError:
-            decoder.reset()
-            return decoder.decode(self.poll_frame(program, NO_BASE))

@@ -85,20 +85,6 @@ class SketchLevel:
         out.weight = self.weight
         return out
 
-    def refresh_heap(self) -> None:
-        """Re-query every heap key against the current counters.
-
-        Called after merges/subtractions, when stored estimates are stale.
-        """
-        keys = self.topk.keys()
-        if not keys:
-            return
-        key_arr = np.array(keys, dtype=np.uint64)
-        estimates = self.sketch.query_many(key_arr)
-        fresh = TopK(self.topk.capacity)
-        fresh.offer_many(key_arr, estimates)
-        self.topk = fresh
-
     def heavy_hitters(self) -> List[Tuple[int, float]]:
         """The level's ``Q_j``: (key, w_j(key)) pairs, largest first."""
         return self.topk.items()

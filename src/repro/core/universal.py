@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 import threading
+from itertools import chain
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -301,46 +302,51 @@ class UniversalSketch(Sketch):
                 "universal sketches must share geometry and an explicit "
                 "seed to be combined")
 
-    def _combine(self, other: "UniversalSketch", sign: int) -> "UniversalSketch":
-        self._check_compatible(other)
-        out = UniversalSketch(levels=self.num_levels, rows=self.rows,
-                              width=self.width, heap_size=self.heap_size,
-                              seed=self.seed, counter_bytes=self.counter_bytes)
-        for j, (a, b) in enumerate(zip(self.levels, other.levels)):
-            lvl = out.levels[j]
-            if sign > 0:
-                lvl.sketch = a.sketch.merge(b.sketch)
-            else:
-                lvl.sketch = a.sketch.subtract(b.sketch)
-            lvl.packets = a.packets + b.packets
-            lvl.weight = a.weight + sign * b.weight
-            # Rebuild Q_j from the union of both heaps' keys, re-queried
-            # against the combined counters.  One offer_many over the
-            # sorted union keeps the rebuild O(capacity) in Python work
-            # and deterministic; the churn counters are then overwritten
-            # with the sum of both inputs' counters, so they keep meaning
-            # "data-plane churn of the combined stream" rather than
-            # accumulating this control-plane rebuild.
-            union = set(a.topk.keys()) | set(b.topk.keys())
+    def _combine(self, others: Tuple["UniversalSketch", ...],
+                 sign: int) -> "UniversalSketch":
+        """``self ± sum(others)`` on a copy of ``self``.
+
+        Counter tables, packet counts, weights and heap churn counters
+        are summed; each level's ``Q_j`` is then rebuilt once, from the
+        union of every input's heap keys re-queried against the summed
+        counters.  With no ``others`` the result is a plain copy.
+        """
+        for other in others:
+            self._check_compatible(other)
+        out = self.copy()
+        if not others:
+            return out
+        fold = np.add if sign > 0 else np.subtract
+        for j, lvl in enumerate(out.levels):
+            parts = [other.levels[j] for other in others]
+            table = lvl.sketch.table
+            for part in parts:
+                fold(table, part.sketch.table, out=table)
+            lvl.packets += sum(part.packets for part in parts)
+            lvl.weight += sign * sum(part.weight for part in parts)
+            # One offer_many over the sorted key union keeps the rebuild
+            # O(capacity) in Python work and deterministic; the churn
+            # counters are then overwritten with the inputs' sums, so
+            # they keep meaning "data-plane churn of the combined stream"
+            # rather than counting this control-plane rebuild.
+            heaps = [lvl.topk] + [part.topk for part in parts]
+            keys = np.unique(np.fromiter(chain.from_iterable(heaps),
+                                         dtype=np.uint64))
             heap = TopK(self.heap_size)
-            if union:
-                keys = np.fromiter(union, dtype=np.uint64, count=len(union))
-                keys.sort()
-                estimates = lvl.sketch.query_many(keys)
-                heap.offer_many(keys, estimates, sorted_keys=True)
-            heap.offers = a.topk.offers + b.topk.offers
-            heap.evictions = a.topk.evictions + b.topk.evictions
-            heap.rejections = a.topk.rejections + b.topk.rejections
+            if len(keys):
+                heap.offer_many(keys, lvl.sketch.query_many(keys),
+                                sorted_keys=True)
+            heap.offers = sum(h.offers for h in heaps)
+            heap.evictions = sum(h.evictions for h in heaps)
+            heap.rejections = sum(h.rejections for h in heaps)
             lvl.topk = heap
-        out.packets = self.packets + other.packets
+        out.packets += sum(other.packets for other in others)
         return out
 
     def copy(self) -> "UniversalSketch":
         """An independent snapshot: counters and heaps are duplicated,
         hash machinery (immutable) is shared.  Mutating either sketch
-        afterwards leaves the other untouched — this is what lets a
-        merge fold start from a live per-switch sketch without aliasing
-        data-plane state."""
+        afterwards leaves the other untouched."""
         out = UniversalSketch.__new__(UniversalSketch)
         out.num_levels = self.num_levels
         out.rows = self.rows
@@ -356,9 +362,18 @@ class UniversalSketch(Sketch):
         out._snapshot_lock = threading.Lock()
         return out
 
-    def merge(self, other: "UniversalSketch") -> "UniversalSketch":
-        """Sketch of the concatenated streams (distributed aggregation)."""
-        return self._combine(other, +1)
+    def merge(self, *others: "UniversalSketch") -> "UniversalSketch":
+        """Sketch of the concatenated streams (distributed aggregation).
+
+        N-ary: ``a.merge(b, c, ...)`` sums every input in one pass and
+        rebuilds each ``Q_j`` once, ranking the union of all inputs'
+        heap keys against the final counters (so a key a pairwise fold
+        would have evicted part-way can survive).  ``a.merge()`` is an
+        independent copy of ``a``.  Raises
+        :class:`~repro.errors.IncompatibleSketchError` if any input
+        differs from ``self`` in geometry or seed.
+        """
+        return self._combine(others, +1)
 
     def subtract(self, other: "UniversalSketch") -> "UniversalSketch":
         """Sketch of the difference stream — the change-detection primitive.
@@ -366,7 +381,7 @@ class UniversalSketch(Sketch):
         Point queries on the result estimate per-key deltas, its G-core
         yields heavy-change keys, and ``g_sum(ABS)`` the total change D.
         """
-        return self._combine(other, -1)
+        return self._combine((other,), -1)
 
     # ------------------------------------------------------------------ #
     # accounting

@@ -72,18 +72,12 @@ class SlidingWindowUniversalSketch:
     def window_sketch(self) -> UniversalSketch:
         """Merged universal sketch covering the window + current epoch.
 
-        Always an independent snapshot (the :meth:`UniversalSketch.copy`
-        contract): callers may keep querying or mutating the result while
-        the window keeps ingesting, without either side seeing the other.
+        One n-ary merge, so always an independent snapshot (even with
+        an empty epoch ring): callers may keep querying or mutating the
+        result while the window keeps ingesting, without either side
+        seeing the other.
         """
-        merged = self._current
-        for epoch in self._epochs:
-            merged = merged.merge(epoch)
-        if merged is self._current:
-            # Empty epoch ring: merging allocated nothing, so snapshot
-            # the live sketch instead of aliasing data-plane state.
-            merged = self._current.copy()
-        return merged
+        return self._current.merge(*self._epochs)
 
     def epochs_in_window(self) -> int:
         return len(self._epochs)

@@ -18,10 +18,10 @@ serial ingest.  The redesign amortises all of that:
   once (keys + weights regions), refilled batch by batch — the driver
   copies the next batch into one slab while the workers chew the other,
   and no key array ever crosses a pipe or is reallocated per run.
-- ``seal()`` ships each worker's sealed sketch bytes to the driver's
-  binary merge-tree reducer; the merged level counters are bit-identical
-  to serial ingest of the same stream (partitioning only reorders the
-  int64 additions).
+- ``seal()`` ships each worker's sealed sketch bytes to the driver,
+  which merges them in one n-ary merge; the level counters are
+  bit-identical to serial ingest of the same stream (partitioning only
+  reorders the int64 additions).
 
 :class:`ShardedIngest` keeps its PR-4 surface (same constructor, same
 ``ingest_keys`` -> :class:`ShardedIngestReport`) but now lazily owns a
@@ -130,17 +130,6 @@ def _sketch_params(sketch: UniversalSketch) -> Dict[str, int]:
     return dict(levels=sketch.num_levels, rows=sketch.rows,
                 width=sketch.width, heap_size=sketch.heap_size,
                 seed=sketch.seed, counter_bytes=sketch.counter_bytes)
-
-
-def _merge_tree(sketches: List[UniversalSketch]) -> UniversalSketch:
-    """Binary reduction: log2(N) merge rounds, deterministic pairing."""
-    while len(sketches) > 1:
-        paired = [sketches[i].merge(sketches[i + 1])
-                  for i in range(0, len(sketches) - 1, 2)]
-        if len(sketches) % 2:
-            paired.append(sketches[-1])
-        sketches = paired
-    return sketches[0]
 
 
 def _ingest_shard(params: Dict[str, int], keys: np.ndarray,
@@ -466,8 +455,8 @@ class ShardWorkerPool:
         Dispatches the stream slab-batch by slab-batch (double-buffered:
         the next batch is copied in while workers chew the previous
         one), seals every worker's epoch-local sketch, verifies packet
-        conservation, and reduces the sealed bytes with a binary merge
-        tree.  Returns ``(merged sketch, per-shard reports,
+        conservation, and merges the sealed shard sketches in one call.
+        Returns ``(merged sketch, per-shard reports,
         merge_seconds)``.
         """
         if policy not in _POLICIES:
@@ -519,10 +508,10 @@ class ShardWorkerPool:
         from repro.core import serialization
         merge_start = self._clock()
         with reg.span("univmon_shard_merge_seconds",
-                      help="binary merge-tree reduction of sealed shard "
-                           "sketches"):
-            merged = _merge_tree([serialization.loads(sealed[i][0])
-                                  for i in range(self.workers)])
+                      help="one n-ary merge of the sealed shard sketches"):
+            first, *rest = (serialization.loads(sealed[i][0])
+                            for i in range(self.workers))
+            merged = first.merge(*rest)
         merge_seconds = self._clock() - merge_start
         reg.counter("univmon_pool_epochs_total",
                     help="epochs sealed by the pool").inc()

@@ -2,8 +2,8 @@
 
 :class:`DetectionPipeline` is a :class:`~repro.controlplane.apps.base.MonitoringApp`,
 so it registers on a :class:`~repro.controlplane.controller.Controller`
-(or :class:`~repro.network.remote.RemoteCoordinator`) like any estimation
-app and consumes each sealed epoch sketch.  Per epoch it:
+(or :class:`~repro.network.hierarchy.HierarchicalCoordinator`) like any
+estimation app and consumes each sealed epoch sketch.  Per epoch it:
 
 1. resolves the union of metrics every rule reads into one
    :meth:`~repro.core.query.QueryEngine.evaluate_many` batch over the

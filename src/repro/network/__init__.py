@@ -11,24 +11,20 @@ Implements the §5 research directions that have concrete constructions:
   prefix level and refine the heavy prefixes each epoch.
 - :mod:`~repro.network.health` — failure detection: consecutive-failure
   thresholds, FAILED-switch recovery probes, epoch-driven (deterministic).
-- :mod:`~repro.network.remote` — the fault-tolerant controller: epoch
-  loop over TCP switch agents with retries, auto-degradation, and
-  per-epoch coverage reporting.
 - :mod:`~repro.network.faults` — a seeded chaos TCP proxy for testing the
   poll protocol under drops, truncation, corruption, and delay, plus the
   in-process switch/link simulators the scale suites run on.
 - :mod:`~repro.network.codec` — delta-encoded, compressed sketch frames
   with CRC-protected framing and reject-never-corrupt decoding.
-- :mod:`~repro.network.hierarchy` — the resilient aggregation tree:
-  rack/pod/root tiers, re-parenting around dead aggregators, coverage
-  accounting, and resilience policies.
+- :mod:`~repro.network.hierarchy` — the network-wide epoch loop: an
+  aggregation tree (flat collection is its one-tier case) over
+  simulated or TCP switch links, with retries, re-parenting around dead
+  aggregators, coverage accounting, and resilience policies.
 """
 
 from repro.network.topology import NetworkTopology
 from repro.network.distributed import DistributedMonitor
-from repro.network.coordinator import NetworkCoordinator
 from repro.network.health import HealthState, HealthTracker
-from repro.network.remote import RemoteCoordinator
 from repro.network.faults import FaultPlan, FaultyProxy, SimLink, \
     SimulatedSwitch, zipf_keys
 from repro.network.codec import DeltaDecoder, DeltaEncoder
@@ -36,9 +32,8 @@ from repro.network.hierarchy import AgentLink, HierarchicalCoordinator, \
     ResiliencePolicy, TreePlan
 from repro.network.zoom import ZoomMonitor
 
-__all__ = ["NetworkTopology", "DistributedMonitor", "NetworkCoordinator",
-           "HealthState", "HealthTracker", "RemoteCoordinator",
-           "FaultPlan", "FaultyProxy", "SimLink", "SimulatedSwitch",
-           "zipf_keys", "DeltaDecoder", "DeltaEncoder", "AgentLink",
-           "HierarchicalCoordinator", "ResiliencePolicy", "TreePlan",
-           "ZoomMonitor"]
+__all__ = ["NetworkTopology", "DistributedMonitor", "HealthState",
+           "HealthTracker", "FaultPlan", "FaultyProxy", "SimLink",
+           "SimulatedSwitch", "zipf_keys", "DeltaDecoder", "DeltaEncoder",
+           "AgentLink", "HierarchicalCoordinator", "ResiliencePolicy",
+           "TreePlan", "ZoomMonitor"]

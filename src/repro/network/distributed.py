@@ -81,17 +81,12 @@ class DistributedMonitor:
     # ------------------------------------------------------------------ #
 
     def network_sketch(self) -> UniversalSketch:
-        """The merged, network-wide universal sketch.
-
-        Always an independent snapshot: the fold is seeded with a copy
-        so a one-switch topology does not hand callers an alias of the
-        live per-switch sketch.
-        """
-        merged = None
-        for name in self.topology.switches:
-            sketch = self.sketches[name]
-            merged = sketch.copy() if merged is None else merged.merge(sketch)
-        return merged
+        """The merged, network-wide universal sketch: one n-ary merge,
+        so always an independent snapshot (a one-switch topology gets a
+        copy, not an alias of the live per-switch sketch)."""
+        first, *rest = (self.sketches[name]
+                        for name in self.topology.switches)
+        return first.merge(*rest)
 
     def heavy_hitters(self, fraction: float):
         return self.network_sketch().heavy_hitters(fraction)

@@ -277,7 +277,8 @@ class SimLink:
     than destroying it in flight (that is also what the real protocol
     guarantees: the agent seals only after parsing a valid request).
     Each poll retries up to ``max_attempts`` times against the seeded
-    drop probability, mirroring the RPC client's retry loop.
+    drop probability, mirroring the RPC client's retry loop, and counts
+    ``retries`` and ``failures`` the way the client does.
     """
 
     def __init__(self, switch: SimulatedSwitch, drop_rate: float = 0.0,
@@ -295,6 +296,7 @@ class SimLink:
         self._rng = random.Random(seed)
         self.attempts = 0
         self.drops = 0
+        self.counters: Dict[str, int] = {"retries": 0, "failures": 0}
 
     def _attempt(self) -> None:
         self.attempts += 1
@@ -307,20 +309,27 @@ class SimLink:
     def ping(self) -> bool:
         """One-shot liveness probe (no retries — probes are cheap and
         the health tracker owns the cadence)."""
-        self._attempt()
+        try:
+            self._attempt()
+        except TransportError:
+            self.counters["failures"] += 1
+            raise
         return True
 
     def poll(self, base_epoch: int) -> bytes:
         last: Exception = TransportError(f"poll of {self.name} failed")
-        for _ in range(self.max_attempts):
+        for attempt in range(self.max_attempts):
+            if attempt:
+                self.counters["retries"] += 1
             try:
                 self._attempt()
             except TransportError as exc:
                 last = exc
                 if not self.switch.alive:
-                    raise
+                    break
                 continue
             return self.switch.poll(base_epoch)
+        self.counters["failures"] += 1
         raise last
 
 

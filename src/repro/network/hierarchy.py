@@ -7,14 +7,16 @@ root would decode and merge every leaf itself, and one slow or dead
 rack stalls the epoch.  :class:`HierarchicalCoordinator` arranges the
 switches into configurable fan-in tiers (rack → pod → … → root), each
 tier merging its children's sketches *before* shipping one combined
-frame upward, so the root does ``fanout`` merges instead of ``n``.
-Linearity (§5) is what makes this sound: merging per-rack then per-pod
-is exactly the network-wide sum.
+frame upward, so the root merges ``fanout`` subtree sketches instead of
+``n`` leaf sketches.  A fanout of at least ``n`` is the flat fan-in:
+one tier, every leaf under the root.  Linearity (§5) is what makes
+this sound: merging per-rack then per-pod is exactly the network-wide
+sum.
 
 Resilience is the point, not an afterthought:
 
-- **per-leaf health** — the same :class:`~repro.network.health`
-  state machine the flat coordinator uses, with probe backoff;
+- **per-leaf health** — the :class:`~repro.network.health` state
+  machine, with probe backoff;
 - **re-parenting** — when an intermediate aggregator is down, its
   children are adopted by the first live sibling (or, with the whole
   tier down, escalate toward the root, which is the coordinator process
@@ -42,17 +44,20 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CodecError, ConfigurationError, TransportError
 from repro.obs.metrics import get_registry
-from repro.controlplane.apps.base import MonitoringApp
-from repro.controlplane.controller import EpochReport
+from repro.controlplane.controller import AppHost, EpochReport
 from repro.network.codec import NO_BASE, DeltaDecoder, DeltaEncoder, \
     frame_info
 from repro.network.health import HealthTracker
-from repro.core.query import QueryEngine
 from repro.core.universal import UniversalSketch
 
 #: The root aggregator: the coordinator process itself.  It has no
 #: uplink and cannot be killed independently of the epoch loop.
 ROOT = "root"
+
+#: Most decoded sketches a collector's pending run holds before it is
+#: merged.  Each is a copy of its decoder's base, so without a cap a
+#: flat fan-in would hold two sketches per leaf.
+MAX_RUN = 32
 
 #: Tier naming, bottom-up; deeper trees fall back to ``t<k>``.
 _TIER_NAMES = ("rack", "pod", "zone")
@@ -204,20 +209,27 @@ class _AggregatorState:
         self.encoder.reset()
 
 
-class HierarchicalCoordinator:
+class HierarchicalCoordinator(AppHost):
     """Epoch loop over an aggregation tree of switch links.
+
+    The one network-wide epoch loop: flat collection is the one-tier
+    tree (``fanout`` >= the leaf count), so every leaf reports straight
+    to the root.
 
     Parameters
     ----------
     links:
         ``{leaf_name: link}`` where a link has ``poll(base_epoch) ->
         frame bytes`` and ``ping()``, both raising
-        :class:`~repro.errors.TransportError` on failure —
+        :class:`~repro.errors.TransportError` on failure, and a
+        ``counters`` mapping with cumulative ``retries`` and
+        ``failures`` —
         :class:`~repro.network.faults.SimLink` in the chaos suites,
         :class:`AgentLink` over real TCP agents.
     sketch_factory:
-        Produces the empty sketch each merge fold starts from; must
-        match the leaves' geometry/seed.
+        Produces the empty sketch each collector's merge starts from;
+        every polled sketch must match its geometry and seed, or the
+        epoch raises :class:`~repro.errors.IncompatibleSketchError`.
     fanout:
         Fan-in per aggregator; a fanout >= the leaf count degenerates to
         the flat topology (one root, no intermediate tiers).
@@ -227,7 +239,7 @@ class HierarchicalCoordinator:
         :class:`ResiliencePolicy`; default publishes everything.
     health:
         Leaf failure detection; defaults to ``suspect_after=1,
-        fail_after=2`` like the flat coordinator.
+        fail_after=2``.
     transfer:
         ``"delta"`` (default) keeps per-link decoder state so leaves and
         uplinks can ship sparse deltas; ``"raw"`` forces every frame to
@@ -242,17 +254,18 @@ class HierarchicalCoordinator:
                  policy: Optional[ResiliencePolicy] = None,
                  health: Optional[HealthTracker] = None,
                  transfer: str = "delta") -> None:
+        super().__init__()
         if not links:
             raise ConfigurationError("no links to coordinate")
         if transfer not in ("delta", "raw"):
             raise ConfigurationError(
                 f"transfer must be 'delta' or 'raw', got {transfer!r}")
-        if sketch_factory().seed is None:
+        self._empty = sketch_factory()
+        if self._empty.seed is None:
             raise ConfigurationError(
                 "hierarchical coordination needs a seeded sketch factory "
                 "(polled sketches must be mergeable)")
         self.links = dict(links)
-        self._factory = sketch_factory
         if plan is None:
             plan = TreePlan.build(sorted(self.links),
                                   min(fanout, max(2, len(self.links))))
@@ -266,8 +279,10 @@ class HierarchicalCoordinator:
         self.health = health if health is not None else HealthTracker(
             plan.leaves, suspect_after=1, fail_after=2)
         self.transfer = transfer
-        self._apps: List[MonitoringApp] = []
         self._epoch = 0
+        #: collector -> (accumulated sketch, leaves it represents); only
+        #: set while an epoch runs.
+        self._acc: Optional[Dict[str, Tuple[UniversalSketch, set]]] = None
         self.aggregators: Dict[str, _AggregatorState] = {
             name: _AggregatorState(name, encoder=self._uplink_encoder())
             for name in plan.aggregators()}
@@ -279,14 +294,8 @@ class HierarchicalCoordinator:
         return DeltaEncoder(delta=on, compress=on)
 
     # ------------------------------------------------------------------ #
-    # configuration / fault injection
+    # fault injection
     # ------------------------------------------------------------------ #
-
-    def register(self, app: MonitoringApp) -> "HierarchicalCoordinator":
-        if any(existing.name == app.name for existing in self._apps):
-            raise ConfigurationError(f"duplicate app name {app.name!r}")
-        self._apps.append(app)
-        return self
 
     def kill_aggregator(self, name: str) -> None:
         """Crash an intermediate aggregator (mid-epoch capable: any
@@ -299,9 +308,8 @@ class HierarchicalCoordinator:
         if not state.alive:
             return
         state.crash()
-        acc = getattr(self, "_acc", None)
-        if acc is not None and name in acc:
-            sketch, leaves = acc.pop(name)
+        if self._acc is not None and name in self._acc:
+            sketch, leaves = self._acc.pop(name)
             self._lost_in_flight += sketch.packets
             self._lost_leaves.update(leaves)
 
@@ -406,6 +414,7 @@ class HierarchicalCoordinator:
         epoch_index = self._epoch
         self._epoch += 1
         reg = get_registry()
+        retries_before, failures_before = self._transport_totals()
 
         # Per-epoch accounting, visible to kill_aggregator mid-epoch.
         self._bytes_wire = 0
@@ -414,8 +423,10 @@ class HierarchicalCoordinator:
         self._lost_in_flight = 0
         self._lost_leaves: set = set()
         self._root_merge_s = 0.0
-        #: collector -> (accumulated sketch, leaves it represents)
-        self._acc: Dict[str, Tuple[UniversalSketch, set]] = {}
+        self._acc = {}
+        self._run_to: Optional[str] = None
+        self._run: List[UniversalSketch] = []
+        self._run_leaves: set = set()
 
         lost: List[str] = []
         recovered: List[str] = []
@@ -445,7 +456,8 @@ class HierarchicalCoordinator:
             self.health.record_success(name)
             if was_failed:
                 recovered.append(name)
-            self._merge_into(collector, sketch, {name})
+            self._collect(collector, sketch, {name})
+        self._flush()
         if on_tier is not None:
             on_tier(0, self)
 
@@ -474,7 +486,8 @@ class HierarchicalCoordinator:
                                                  base_epoch=NO_BASE)
                     self._count_frame(frame, "uplink")
                     shipped = decoder.decode(frame)
-                self._merge_into(target, shipped, leaves)
+                self._collect(target, shipped, leaves)
+            self._flush()
             if on_tier is not None:
                 on_tier(tier_index, self)
 
@@ -482,14 +495,17 @@ class HierarchicalCoordinator:
         if ROOT in self._acc:
             merged, covered_leaves = self._acc.pop(ROOT)
         else:
-            merged, covered_leaves = self._factory(), set()
-        # The root's share of this epoch's folding work (accumulated in
-        # _merge_into: every merge whose collector is the root).
+            merged, covered_leaves = self._empty.copy(), set()
+        # The root's share of this epoch's merging work (accumulated in
+        # _flush: every merge whose collector is the root).
         reg.histogram(
             "univmon_tree_merge_seconds",
             help="root-of-tree epoch merge latency").observe(
                 self._root_merge_s)
         covered_packets = merged.packets
+        retries_after, failures_after = self._transport_totals()
+        retries = retries_after - retries_before
+        transport_failures = failures_after - failures_before
 
         total = len(self.plan.leaves)
         coverage = len(covered_leaves) / total
@@ -522,6 +538,12 @@ class HierarchicalCoordinator:
         reg.counter("univmon_tree_lost_in_flight_total",
                     help="packets lost with a mid-epoch aggregator kill"
                     ).inc(self._lost_in_flight)
+        reg.counter("univmon_tree_retries_total",
+                    help="transport retries burned polling leaves"
+                    ).inc(retries)
+        reg.counter("univmon_tree_transport_failures_total",
+                    help="leaf polls and probes that exhausted their "
+                         "retries").inc(transport_failures)
 
         report = EpochReport(epoch_index=epoch_index, start_time=0.0,
                              end_time=0.0, packets=covered_packets)
@@ -543,6 +565,8 @@ class HierarchicalCoordinator:
             "frames_full": self._frames_full,
             "frames_delta": self._frames_delta,
             "packets_covered": covered_packets,
+            "retries": retries,
+            "transport_failures": transport_failures,
             "failed": self.health.failed(),
             "lost": sorted(lost),
             "recovered": sorted(recovered),
@@ -551,27 +575,54 @@ class HierarchicalCoordinator:
                 if not state.alive),
             "health": self.health.snapshot(),
         }
-        if status != "withheld" and covered_leaves and self._apps:
-            QueryEngine(merged).warm()
-            for app in self._apps:
-                report.results[app.name] = app.on_sketch(merged,
-                                                         epoch_index)
+        if status != "withheld" and covered_leaves:
+            self.run_apps(merged, epoch_index, report)
         self.health.tick()
         self._acc = None
         return report
 
-    def _merge_into(self, collector: str, sketch: UniversalSketch,
-                    leaves: set) -> None:
+    def _transport_totals(self) -> Tuple[int, int]:
+        """Cumulative ``(retries, failures)`` over every leaf link."""
+        retries = failures = 0
+        for link in self.links.values():
+            retries += link.counters["retries"]
+            failures += link.counters["failures"]
+        return retries, failures
+
+    def _collect(self, collector: str, sketch: UniversalSketch,
+                 leaves: set) -> None:
+        """Queue ``sketch`` for ``collector``.
+
+        Children polled one after another for the same collector (a
+        rack's leaves, a pod's racks) form a run that :meth:`_flush`
+        merges in one call.  A run holds at most :data:`MAX_RUN`
+        decoded sketches, so a flat fan-in keeps at most that many
+        copies alive besides the decoders' one base per leaf.
+        """
+        if collector != self._run_to or len(self._run) >= MAX_RUN:
+            self._flush()
+            self._run_to = collector
+        self._run.append(sketch)
+        self._run_leaves.update(leaves)
+
+    def _flush(self) -> None:
+        """Merge the pending run into its collector's accumulator.
+
+        A collector's first run merges onto the factory's empty sketch,
+        which checks every polled sketch against the factory's geometry
+        and seed.
+        """
+        if not self._run:
+            return
         t0 = time.perf_counter()
-        if collector in self._acc:
-            acc, acc_leaves = self._acc[collector]
-            self._acc[collector] = (acc.merge(sketch),
-                                    acc_leaves | set(leaves))
-        else:
-            self._acc[collector] = (self._factory().merge(sketch),
-                                    set(leaves))
+        collector = self._run_to
+        acc, leaves = self._acc.get(collector, (self._empty, set()))
+        self._acc[collector] = (acc.merge(*self._run),
+                                leaves | self._run_leaves)
         if collector == ROOT:
             self._root_merge_s += time.perf_counter() - t0
+        self._run = []
+        self._run_leaves = set()
 
 
 class AgentLink:
@@ -581,6 +632,11 @@ class AgentLink:
     def __init__(self, client, program: str = "univmon") -> None:
         self.client = client
         self.program = program
+
+    @property
+    def counters(self) -> Dict[str, int]:
+        """The client's cumulative transport counters."""
+        return self.client.counters
 
     def ping(self) -> bool:
         return self.client.ping(retry=self.client.retry.fail_fast())

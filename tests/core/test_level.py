@@ -65,22 +65,6 @@ class TestBulkUpdate:
         assert set(top_keys) == {111, 222}
 
 
-class TestRefresh:
-    def test_refresh_requeries_estimates(self):
-        lvl = SketchLevel(rows=3, width=64, heap_size=8, seed=8)
-        lvl.update(1, 10)
-        # Mutate the underlying sketch directly (as merge does), then
-        # refresh: the heap estimate must follow the counters.
-        lvl.sketch.table *= 2
-        lvl.refresh_heap()
-        assert lvl.topk.estimate(1) == pytest.approx(20.0)
-
-    def test_refresh_empty_heap_noop(self):
-        lvl = SketchLevel(rows=3, width=64, heap_size=8, seed=9)
-        lvl.refresh_heap()
-        assert len(lvl.topk) == 0
-
-
 class TestAccounting:
     def test_memory_includes_sketch_and_heap(self):
         lvl = SketchLevel(rows=3, width=64, heap_size=8, seed=1)

@@ -237,6 +237,103 @@ class TestMergeHeapRebuild:
             assert len(level.topk) <= 8
 
 
+class TestNaryMerge:
+    """``merge(*others)``: one call folds any number of inputs."""
+
+    @staticmethod
+    def _split(make_rng, k, seed=40, heap=16):
+        rng = make_rng(k)
+        keys = rng.integers(0, 1500, size=6000).astype(np.uint64)
+        weights = rng.integers(1, 9, size=6000)
+        whole = make(seed=seed, heap=heap)
+        whole.update_array(keys, weights)
+        parts = []
+        for chunk, wchunk in zip(np.array_split(keys, k),
+                                 np.array_split(weights, k)):
+            part = make(seed=seed, heap=heap)
+            part.update_array(chunk, wchunk)
+            parts.append(part)
+        return whole, parts
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_counters_match_single_stream_and_pairwise_fold(self, k,
+                                                            make_rng):
+        whole, parts = self._split(make_rng, k)
+        merged = parts[0].merge(*parts[1:])
+        pairwise = parts[0]
+        for part in parts[1:]:
+            pairwise = pairwise.merge(part)
+        for lw, lm, lp in zip(whole.levels, merged.levels, pairwise.levels):
+            assert np.array_equal(lm.sketch.table, lw.sketch.table)
+            assert np.array_equal(lm.sketch.table, lp.sketch.table)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_packets_weights_and_churn_are_sums(self, k, make_rng):
+        _whole, parts = self._split(make_rng, k)
+        merged = parts[0].merge(*parts[1:])
+        assert merged.packets == sum(p.packets for p in parts)
+        for j, level in enumerate(merged.levels):
+            inputs = [p.levels[j] for p in parts]
+            assert level.packets == sum(i.packets for i in inputs)
+            assert level.weight == sum(i.weight for i in inputs)
+            for counter in ("offers", "evictions", "rejections"):
+                assert getattr(level.topk, counter) == \
+                    sum(getattr(i.topk, counter) for i in inputs)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_heaps_are_top_k_of_input_key_union(self, k, make_rng):
+        """Each Q_j holds what one scalar top-k over the union of every
+        input's heap keys, ranked by the summed counters, would hold."""
+        _whole, parts = self._split(make_rng, k)
+        merged = parts[0].merge(*parts[1:])
+        for j, level in enumerate(merged.levels):
+            union = set().union(*(p.levels[j].topk.keys() for p in parts))
+            if not union:
+                assert len(level.topk) == 0
+                continue
+            oracle = TestMergeHeapRebuild._scalar_rebuild(
+                level.sketch, union, 16)
+            mine, theirs = dict(level.topk.items()), dict(oracle.items())
+            # Ties at the eviction boundary may resolve either way (see
+            # TopK.offer_many); above it the survivors match exactly.
+            assert sorted(abs(v) for v in mine.values()) == \
+                sorted(abs(v) for v in theirs.values())
+            boundary = min(abs(v) for v in mine.values())
+            assert {k_ for k_, v in mine.items() if abs(v) > boundary} == \
+                {k_ for k_, v in theirs.items() if abs(v) > boundary}
+            for key in set(mine) & set(theirs):
+                assert mine[key] == theirs[key]
+
+    def test_no_argument_merge_is_an_independent_copy(self, make_rng):
+        _whole, (original,) = self._split(make_rng, 1)
+        clone = original.merge()
+        assert clone is not original
+        for lo, lc in zip(original.levels, clone.levels):
+            assert lc is not lo and lc.sketch.table is not lo.sketch.table
+            assert np.array_equal(lo.sketch.table, lc.sketch.table)
+            assert lo.topk.items() == lc.topk.items()
+        before = [level.sketch.table.copy() for level in original.levels]
+        heap_before = original.levels[0].topk.items()
+        clone.update(999_999, 50_000)
+        for level, table in zip(original.levels, before):
+            assert np.array_equal(level.sketch.table, table)
+        assert original.levels[0].topk.items() == heap_before
+        assert clone.total_weight == original.total_weight + 50_000
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("odd", [
+        lambda: make(seed=41),
+        lambda: make(seed=40, levels=5),
+        lambda: make(seed=40, heap=8),
+        lambda: UniversalSketch(levels=6, rows=3, width=256, heap_size=16),
+    ], ids=["seed", "levels", "heap", "unseeded"])
+    def test_incompatible_input_anywhere_raises(self, position, odd):
+        others = [make(seed=40) for _ in range(3)]
+        others.insert(position, odd())
+        with pytest.raises(IncompatibleSketchError):
+            make(seed=40).merge(*others)
+
+
 class TestWeightDtypeParity:
     """Regression: the bulk path used to forward weight arrays uncoerced,
     so a float array's *sum* (not its per-element truncation) landed in

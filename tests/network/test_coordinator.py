@@ -1,11 +1,19 @@
-"""Tests for the network-wide epoch coordinator (incl. failure injection)."""
+"""Flat network-wide collection: the one-tier tree (incl. failure injection).
+
+Every leaf reports straight to the root (``fanout`` >= the leaf count),
+which is the default shape of ``univmon coordinate``.  Traffic is
+ingress-assigned over a star topology, so each packet is sketched at
+exactly one simulated switch.
+"""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.controlplane.apps.cardinality import CardinalityApp
 from repro.controlplane.apps.entropy import EntropyApp
-from repro.network.coordinator import NetworkCoordinator
+from repro.dataplane.keys import src_ip_key
+from repro.network.faults import SimLink, SimulatedSwitch
+from repro.network.hierarchy import ROOT, HierarchicalCoordinator
 from repro.network.topology import NetworkTopology
 from repro.core.universal import UniversalSketch
 
@@ -14,39 +22,66 @@ def factory():
     return UniversalSketch(levels=6, rows=3, width=512, heap_size=32, seed=5)
 
 
-def make(epoch_seconds=1.0):
-    return NetworkCoordinator(NetworkTopology.star(3),
-                              sketch_factory=factory,
-                              epoch_seconds=epoch_seconds)
+class Flat:
+    """Simulated switches on a star topology under a flat tree."""
+
+    def __init__(self, transfer="delta"):
+        self.topology = NetworkTopology.star(3)
+        self.switches = {name: SimulatedSwitch(name, factory)
+                         for name in self.topology.switches}
+        self.coordinator = HierarchicalCoordinator(
+            {name: SimLink(switch) for name, switch in self.switches.items()},
+            factory, fanout=len(self.switches), transfer=transfer)
+
+    def feed(self, trace):
+        shares = self.topology.ingress_assignment(trace, seed=7)
+        return sum(self.switches[name].feed(share.key_array(src_ip_key))
+                   for name, share in shares.items())
+
+    def run_trace(self, trace, epoch_seconds):
+        reports = []
+        for epoch in trace.epochs(epoch_seconds):
+            fed = self.feed(epoch)
+            reports.append((fed, self.coordinator.run_epoch()))
+        return reports
+
+
+class _Capture:
+    """A registered app that keeps the published epoch sketch."""
+
+    name = "capture"
+
+    def __init__(self):
+        self.sketch = None
+
+    def on_sketch(self, sketch, epoch_index):
+        self.sketch = sketch
+        return {}
+
+    def reset(self):
+        self.sketch = None
 
 
 class TestConfiguration:
-    def test_epoch_validated(self):
-        with pytest.raises(ConfigurationError):
-            NetworkCoordinator(NetworkTopology.line(2), epoch_seconds=0,
-                               sketch_factory=factory)
-
     def test_duplicate_app_rejected(self):
-        coordinator = make()
+        coordinator = Flat().coordinator
         coordinator.register(EntropyApp())
         with pytest.raises(ConfigurationError):
             coordinator.register(EntropyApp())
 
-    def test_unknown_switch_cannot_fail(self):
-        with pytest.raises(ConfigurationError):
-            make().mark_failed("nope")
-
 
 class TestEpochLoop:
     def test_full_coverage_reports(self, small_trace):
-        coordinator = make(epoch_seconds=2.0)
-        coordinator.register(CardinalityApp()).register(EntropyApp())
-        reports = coordinator.run_trace(small_trace)
+        flat = Flat()
+        assert flat.coordinator.plan.depth == 1
+        flat.coordinator.register(CardinalityApp()).register(EntropyApp())
+        reports = flat.run_trace(small_trace, 2.0)
         assert len(reports) == len(small_trace.epochs(2.0))
-        for report in reports:
+        for fed, report in reports:
             coverage = report["coverage"]
             assert coverage["failed"] == []
-            assert coverage["packets_covered"] == report.packets
+            assert coverage["coverage"] == 1.0
+            assert coverage["packets_covered"] == report.packets == fed
             assert "cardinality" in report.results
             assert "entropy" in report.results
 
@@ -58,13 +93,12 @@ class TestEpochLoop:
         differ slightly from a central streaming heap — so the estimates
         agree approximately, not exactly.
         """
-        coordinator = make(epoch_seconds=10.0)
-        coordinator.register(CardinalityApp())
-        report = coordinator.run_trace(small_trace)[0]
+        flat = Flat()
+        flat.coordinator.register(CardinalityApp())
+        (_fed, report), = flat.run_trace(small_trace, 10.0)
 
         central = factory()
-        central.update_array(small_trace.key_array(
-            coordinator._key_function))
+        central.update_array(small_trace.key_array(src_ip_key))
         from repro.core.gsum import estimate_cardinality
         assert report["cardinality"]["distinct"] == \
             pytest.approx(estimate_cardinality(central), rel=0.15)
@@ -72,59 +106,52 @@ class TestEpochLoop:
 
 class TestMergeAliasing:
     def test_single_survivor_merge_is_a_copy(self, tiny_trace):
-        """Regression: with one surviving switch the merged sketch used
-        to *be* the live per-switch sketch, so mutating the merge result
-        corrupted data-plane state."""
-        coordinator = make(epoch_seconds=10.0)
-        for switch in ("edge1", "edge2"):
-            coordinator.mark_failed(switch)
-        coordinator._monitor.process_trace(tiny_trace)
-        live = coordinator._monitor.sketches["edge0"]
-        before = live.total_weight
-        merged = coordinator._merge_surviving()
-        assert merged is not live
-        merged.update(12345, 10_000)
-        assert live.total_weight == before
-
-    def test_single_switch_network_sketch_is_a_copy(self, tiny_trace):
-        from repro.network.distributed import DistributedMonitor
-        monitor = DistributedMonitor(NetworkTopology.line(1),
-                                     sketch_factory=factory)
-        monitor.process_trace(tiny_trace)
-        live = monitor.sketches[monitor.topology.switches[0]]
-        before = live.total_weight
-        merged = monitor.network_sketch()
-        assert merged is not live
-        merged.update(12345, 10_000)
-        assert live.total_weight == before
-        # The snapshot itself is fully functional.
-        assert merged.total_weight == before + 10_000
+        """With one surviving switch the published sketch must not be
+        the root's decoded copy of that leaf (the delta base of its next
+        frame): an app mutating it would corrupt the next decode."""
+        flat = Flat()
+        for name in ("core", "edge1", "edge2"):
+            flat.switches[name].kill()
+        capture = _Capture()
+        flat.coordinator.register(capture)
+        flat.feed(tiny_trace)
+        report = flat.coordinator.run_epoch()
+        assert report["coverage"]["switches_covered"] == 1
+        base = flat.coordinator.aggregators[ROOT].decoders["edge0"]._base
+        before = base.total_weight
+        assert capture.sketch is not base
+        capture.sketch.update(12345, 10_000)
+        assert base.total_weight == before
 
 
 class TestFailureInjection:
     def test_failed_switch_degrades_coverage(self, small_trace):
-        coordinator = make(epoch_seconds=10.0)
-        coordinator.register(CardinalityApp())
-        coordinator.mark_failed("edge1")
-        report = coordinator.run_trace(small_trace)[0]
+        flat = Flat()
+        flat.coordinator.register(CardinalityApp())
+        flat.switches["edge1"].kill()
+        (fed, report), = flat.run_trace(small_trace, 10.0)
         coverage = report["coverage"]
-        assert coverage["failed"] == ["edge1"]
-        assert 0 < coverage["packets_covered"] < report.packets
+        assert coverage["missing_switches"] == ["edge1"]
+        assert coverage["status"] == "published_degraded"
+        assert 0 < coverage["packets_covered"] == fed < len(small_trace)
         # Apps still run on the surviving traffic.
         assert report["cardinality"]["distinct"] > 0
 
     def test_recovery_restores_coverage(self, small_trace):
-        coordinator = make(epoch_seconds=10.0)
-        coordinator.mark_failed("edge0")
-        coordinator.mark_recovered("edge0")
-        report = coordinator.run_trace(small_trace)[0]
-        assert report["coverage"]["packets_covered"] == report.packets
+        flat = Flat()
+        flat.switches["edge0"].kill()
+        flat.coordinator.run_epoch()
+        flat.switches["edge0"].restart()
+        (fed, report), = flat.run_trace(small_trace, 10.0)
+        assert fed == len(small_trace)
+        assert report["coverage"]["packets_covered"] == len(small_trace)
 
     def test_all_switches_failed_yields_empty_epoch(self, tiny_trace):
-        coordinator = make(epoch_seconds=10.0)
-        coordinator.register(CardinalityApp())
-        for switch in NetworkTopology.star(3).switches:
-            coordinator.mark_failed(switch)
-        report = coordinator.run_trace(tiny_trace)[0]
+        flat = Flat()
+        flat.coordinator.register(CardinalityApp())
+        for switch in flat.switches.values():
+            switch.kill()
+        (_fed, report), = flat.run_trace(tiny_trace, 10.0)
         assert report["coverage"]["packets_covered"] == 0
+        assert report["coverage"]["switches_covered"] == 0
         assert "cardinality" not in report.results

@@ -100,3 +100,21 @@ class TestLoadBalance:
         mon = DistributedMonitor(NetworkTopology.line(3),
                                  sketch_factory=factory)
         assert mon.memory_bytes() == 3 * factory().memory_bytes()
+
+
+class TestMergeAliasing:
+    def test_single_switch_network_sketch_is_a_copy(self, tiny_trace):
+        """Regression: with one switch the merged sketch used to *be*
+        the live per-switch sketch, so mutating the merge result
+        corrupted data-plane state."""
+        monitor = DistributedMonitor(NetworkTopology.line(1),
+                                     sketch_factory=factory)
+        monitor.process_trace(tiny_trace)
+        live = monitor.sketches[monitor.topology.switches[0]]
+        before = live.total_weight
+        merged = monitor.network_sketch()
+        assert merged is not live
+        merged.update(12345, 10_000)
+        assert live.total_weight == before
+        # The snapshot itself is fully functional.
+        assert merged.total_weight == before + 10_000

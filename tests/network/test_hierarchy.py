@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, IncompatibleSketchError
 from repro.network.faults import SimLink, SimulatedSwitch, zipf_keys
 from repro.network.hierarchy import (
     ROOT,
@@ -239,6 +239,20 @@ class TestDegradation:
         assert report.results["coverage"]["status"] == "withheld"
         assert "cardinality" not in report.results
 
+    def test_all_leaves_failed_yields_empty_epoch(self):
+        from repro.controlplane.apps.cardinality import CardinalityApp
+        net = Net(n=8, fanout=4)
+        net.coord.register(CardinalityApp())
+        net.feed()
+        for switch in net.switches.values():
+            switch.kill()
+        report = net.epoch()
+        coverage = report.results["coverage"]
+        assert coverage["switches_covered"] == 0
+        assert coverage["packets_covered"] == 0
+        assert coverage["missing_subtrees"] == ["rack00", "rack01"]
+        assert "cardinality" not in report.results
+
 
 class TestRecovery:
     def test_coverage_recovers_within_two_epochs(self):
@@ -333,3 +347,30 @@ class TestConfigurationErrors:
         with pytest.raises(ConfigurationError):
             HierarchicalCoordinator({"a": SimLink(sw)}, factory,
                                     plan=plan)
+
+    @pytest.mark.parametrize("odd_factory", [
+        lambda: UniversalSketch(levels=4, rows=2, width=64, heap_size=8,
+                                seed=8),
+        lambda: UniversalSketch(levels=5, rows=2, width=64, heap_size=8,
+                                seed=7),
+    ], ids=["seed", "geometry"])
+    @pytest.mark.parametrize("odd_leaves", [range(8), [5]],
+                             ids=["every_leaf", "one_leaf"])
+    @pytest.mark.parametrize("fanout", [4, 8], ids=["tree", "flat"])
+    def test_leaves_must_match_factory(self, odd_factory, odd_leaves,
+                                       fanout):
+        """A polled sketch the coordinator's factory cannot merge raises
+        instead of publishing — including when every leaf agrees with
+        every other leaf but not with the factory."""
+        names = [f"sw{i:02d}" for i in range(8)]
+        switches = {
+            name: SimulatedSwitch(
+                name, odd_factory if i in odd_leaves else factory)
+            for i, name in enumerate(names)}
+        coord = HierarchicalCoordinator(
+            {name: SimLink(switch) for name, switch in switches.items()},
+            factory, fanout=fanout)
+        for switch in switches.values():
+            switch.feed(np.arange(40, dtype=np.uint64))
+        with pytest.raises(IncompatibleSketchError):
+            coord.run_epoch()

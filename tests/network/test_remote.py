@@ -1,5 +1,11 @@
-"""Tests for the fault-tolerant remote coordinator (real sockets)."""
+"""Tests for remote collection: the tree over TCP agents (real sockets).
 
+Flat collection is the one-tier :class:`HierarchicalCoordinator`, so
+these drive it over :class:`AgentLink`s wrapping resilient
+:class:`RemoteSwitchClient`s, the way ``univmon coordinate`` does.
+"""
+
+import dataclasses
 import random
 
 import pytest
@@ -8,7 +14,7 @@ from repro.errors import ConfigurationError, TransportError
 from repro.controlplane.apps.cardinality import CardinalityApp
 from repro.controlplane.rpc import RemoteSwitchClient, RetryPolicy, SwitchAgent
 from repro.network.health import HealthState, HealthTracker
-from repro.network.remote import RemoteCoordinator
+from repro.network.hierarchy import AgentLink, HierarchicalCoordinator
 from repro.dataplane.keys import src_ip_key
 from repro.dataplane.switch import MonitoredSwitch
 from repro.core.universal import UniversalSketch
@@ -28,14 +34,34 @@ NO_SLEEP = lambda seconds: None  # noqa: E731
 FAST = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 
-def make_coordinator(agents, **kwargs):
-    kwargs.setdefault("sketch_factory", factory)
-    kwargs.setdefault("retry", FAST)
-    kwargs.setdefault("sleep", NO_SLEEP)
-    kwargs.setdefault("health",
-                      HealthTracker(agents, suspect_after=1, fail_after=1))
-    return RemoteCoordinator(
-        {name: agent.address for name, agent in agents.items()}, **kwargs)
+class Remote:
+    """A flat tree over one client per agent (closed on exit)."""
+
+    def __init__(self, agents, retry=FAST, health=None,
+                 sketch_factory=factory, **kwargs):
+        self.clients = {
+            name: RemoteSwitchClient(
+                *agent.address, timeout=5.0,
+                retry=dataclasses.replace(retry, seed=retry.seed + index),
+                sleep=NO_SLEEP)
+            for index, (name, agent) in enumerate(agents.items())}
+        if health is None:
+            health = HealthTracker(agents, suspect_after=1, fail_after=1)
+        kwargs.setdefault("fanout", len(agents))
+        self.coordinator = HierarchicalCoordinator(
+            {name: AgentLink(client)
+             for name, client in self.clients.items()},
+            sketch_factory, health=health, **kwargs)
+
+    def calls(self, key="calls"):
+        return sum(client.counters[key] for client in self.clients.values())
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for client in self.clients.values():
+            client.close()
 
 
 @pytest.fixture()
@@ -49,47 +75,48 @@ def two_agents():
 class TestConfiguration:
     def test_needs_agents(self):
         with pytest.raises(ConfigurationError):
-            RemoteCoordinator({})
+            HierarchicalCoordinator({}, factory)
 
     def test_needs_seeded_factory(self, two_agents):
         with pytest.raises(ConfigurationError):
-            make_coordinator(
-                two_agents,
-                sketch_factory=lambda: UniversalSketch(levels=3, rows=3,
-                                                       width=64, seed=None))
+            Remote(two_agents,
+                   sketch_factory=lambda: UniversalSketch(
+                       levels=3, rows=3, width=64, seed=None))
 
     def test_duplicate_app_rejected(self, two_agents):
-        with make_coordinator(two_agents) as coordinator:
-            coordinator.register(CardinalityApp())
+        with Remote(two_agents) as remote:
+            remote.coordinator.register(CardinalityApp())
             with pytest.raises(ConfigurationError):
-                coordinator.register(CardinalityApp())
+                remote.coordinator.register(CardinalityApp())
 
 
 class TestHappyPath:
     def test_full_coverage_epoch(self, two_agents, tiny_trace):
         for agent in two_agents.values():
             agent.switch.process_trace(tiny_trace)
-        with make_coordinator(two_agents) as coordinator:
-            coordinator.register(CardinalityApp())
-            report = coordinator.run_epoch()
+        with Remote(two_agents) as remote:
+            remote.coordinator.register(CardinalityApp())
+            report = remote.coordinator.run_epoch()
         coverage = report["coverage"]
-        assert coverage["switches_polled"] == 2
+        assert coverage["topology"] == "2 leaves, fanout 2, tiers 1"
+        assert coverage["switches_covered"] == 2
         assert coverage["lost"] == [] and coverage["failed"] == []
         assert coverage["packets_covered"] == 2 * len(tiny_trace)
         assert report.packets == 2 * len(tiny_trace)
         assert coverage["retries"] == 0
+        assert coverage["transport_failures"] == 0
         assert report["cardinality"]["distinct"] > 0
 
     def test_epoch_indices_autoincrement(self, two_agents):
-        with make_coordinator(two_agents) as coordinator:
-            reports = coordinator.run_epochs(3)
+        with Remote(two_agents) as remote:
+            reports = remote.coordinator.run_epochs(3)
         assert [r.epoch_index for r in reports] == [0, 1, 2]
 
     def test_poll_resets_between_epochs(self, two_agents, tiny_trace):
-        with make_coordinator(two_agents) as coordinator:
+        with Remote(two_agents) as remote:
             two_agents["s0"].switch.process_trace(tiny_trace)
-            first = coordinator.run_epoch()
-            second = coordinator.run_epoch()
+            first = remote.coordinator.run_epoch()
+            second = remote.coordinator.run_epoch()
         assert first["coverage"]["packets_covered"] == len(tiny_trace)
         assert second["coverage"]["packets_covered"] == 0
 
@@ -97,14 +124,15 @@ class TestHappyPath:
 class TestDegradation:
     def test_dead_agent_auto_marked_failed(self, two_agents, tiny_trace):
         two_agents["s0"].switch.process_trace(tiny_trace)
-        with make_coordinator(two_agents) as coordinator:
-            coordinator.register(CardinalityApp())
+        with Remote(two_agents) as remote:
+            remote.coordinator.register(CardinalityApp())
             two_agents["s1"].stop()
-            report = coordinator.run_epoch()
+            report = remote.coordinator.run_epoch()
         coverage = report["coverage"]
         assert coverage["lost"] == ["s1"]
         assert coverage["failed"] == ["s1"]
-        assert coverage["switches_polled"] == 1
+        assert coverage["missing_switches"] == ["s1"]
+        assert coverage["switches_covered"] == 1
         assert coverage["packets_covered"] == len(tiny_trace)
         # Retries were burned on the dead switch and reported.
         assert coverage["retries"] == FAST.max_attempts - 1
@@ -113,56 +141,57 @@ class TestDegradation:
         assert report["cardinality"]["distinct"] > 0
 
     def test_failed_switch_skipped_not_retried(self, two_agents):
-        with make_coordinator(
-                two_agents,
-                health=HealthTracker(two_agents, fail_after=1,
-                                     probe_every=3)) as coordinator:
+        with Remote(two_agents,
+                    health=HealthTracker(two_agents, fail_after=1,
+                                         probe_every=3)) as remote:
             two_agents["s1"].stop()
-            coordinator.run_epoch()  # marks s1 FAILED (epochs_failed -> 1)
-            before = coordinator.transport_counters()["calls"]
-            report = coordinator.run_epoch()  # probe not due: s1 skipped
-            after = coordinator.transport_counters()["calls"]
-        assert report["coverage"]["switches_polled"] == 1
+            remote.coordinator.run_epoch()  # marks s1 FAILED
+            before = remote.calls()
+            report = remote.coordinator.run_epoch()  # probe not due
+            after = remote.calls()
+        assert report["coverage"]["switches_covered"] == 1
         assert after - before == 1  # only s0 was contacted at all
 
     def test_all_agents_dead_yields_empty_epoch(self, two_agents):
-        with make_coordinator(two_agents) as coordinator:
-            coordinator.register(CardinalityApp())
+        with Remote(two_agents) as remote:
+            remote.coordinator.register(CardinalityApp())
             for agent in two_agents.values():
                 agent.stop()
-            report = coordinator.run_epoch()
-        assert report["coverage"]["switches_polled"] == 0
+            report = remote.coordinator.run_epoch()
+        assert report["coverage"]["switches_covered"] == 0
         assert report["coverage"]["packets_covered"] == 0
         assert "cardinality" not in report.results
 
 
 class TestRecovery:
     def test_restarted_agent_is_probed_back(self, two_agents, tiny_trace):
-        with make_coordinator(two_agents) as coordinator:
+        with Remote(two_agents) as remote:
             host, port = two_agents["s1"].address
             two_agents["s1"].stop()
-            report = coordinator.run_epoch()
+            report = remote.coordinator.run_epoch()
             assert report["coverage"]["failed"] == ["s1"]
 
             two_agents["s1"] = make_agent("s1", port=port)
             two_agents["s1"].switch.process_trace(tiny_trace)
-            report = coordinator.run_epoch()
+            report = remote.coordinator.run_epoch()
         coverage = report["coverage"]
         assert coverage["recovered"] == ["s1"]
         assert coverage["failed"] == []
-        assert coverage["switches_polled"] == 2
+        assert coverage["switches_covered"] == 2
         assert coverage["packets_covered"] == len(tiny_trace)
         assert coverage["health"]["s1"]["recoveries"] == 1
 
     def test_probe_is_single_shot(self, two_agents):
         """A still-dead FAILED switch costs one connect, not a retry storm."""
-        with make_coordinator(two_agents) as coordinator:
+        with Remote(two_agents) as remote:
             two_agents["s1"].stop()
-            coordinator.run_epoch()
-            retries_before = coordinator.transport_counters()["retries"]
-            coordinator.run_epoch()  # probe_every=1: ping probe fails fast
-            retries_after = coordinator.transport_counters()["retries"]
+            remote.coordinator.run_epoch()
+            retries_before = remote.calls("retries")
+            report = remote.coordinator.run_epoch()  # ping probe fails fast
+            retries_after = remote.calls("retries")
         assert retries_after == retries_before
+        assert report["coverage"]["retries"] == 0
+        assert report["coverage"]["transport_failures"] == 1
 
 
 class TestDeterministicBackoff:
@@ -195,60 +224,34 @@ class TestDeterministicBackoff:
         assert schedules[0] == schedules[1]
 
 
-class TestMetricsHygiene:
-    def test_stale_per_agent_series_cleared_on_construction(self, two_agents):
-        """Regression: a rebuilt coordinator with a different agent set
-        must not leave the old coordinator's per-switch poll timings in
-        the registry (they read as live series for absent agents)."""
-        from repro.obs.metrics import MetricsRegistry, use_registry
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            with make_coordinator(two_agents) as coordinator:
-                coordinator.run_epoch()
-            assert registry.get("univmon_remote_poll_seconds",
-                                switch="s0") is not None
-            assert registry.get("univmon_remote_poll_seconds",
-                                switch="s1") is not None
-
-            survivor = {"s0": two_agents["s0"]}
-            with make_coordinator(
-                    survivor,
-                    health=HealthTracker(survivor,
-                                         fail_after=1)) as coordinator:
-                # construction alone must have dropped the stale series
-                assert registry.get("univmon_remote_poll_seconds",
-                                    switch="s1") is None
-                coordinator.run_epoch()
-            assert registry.get("univmon_remote_poll_seconds",
-                                switch="s0") is not None
-            assert registry.get("univmon_remote_poll_seconds",
-                                switch="s1") is None
-
-
 class TestDeltaTransfer:
     def test_delta_transfer_matches_raw(self, two_agents, tiny_trace):
-        for agent in two_agents.values():
-            agent.switch.process_trace(tiny_trace)
-        with make_coordinator(two_agents,
-                              transfer="delta") as coordinator:
-            coordinator.register(CardinalityApp())
-            report = coordinator.run_epoch()
-        coverage = report["coverage"]
-        assert coverage["switches_polled"] == 2
-        assert coverage["packets_covered"] == 2 * len(tiny_trace)
-        assert report["cardinality"]["distinct"] > 0
+        """Raw (full frames, NO_BASE every poll) and delta transfer
+        publish the same estimates for the same traffic."""
+        distinct = {}
+        for transfer in ("raw", "delta"):
+            for agent in two_agents.values():
+                agent.switch.process_trace(tiny_trace)
+            with Remote(two_agents, transfer=transfer) as remote:
+                remote.coordinator.register(CardinalityApp())
+                report = remote.coordinator.run_epoch()
+            coverage = report["coverage"]
+            assert coverage["switches_covered"] == 2
+            assert coverage["packets_covered"] == 2 * len(tiny_trace)
+            distinct[transfer] = report["cardinality"]["distinct"]
+        assert distinct["raw"] == distinct["delta"] > 0
 
     def test_transfer_mode_validated(self, two_agents):
         with pytest.raises(ConfigurationError):
-            make_coordinator(two_agents, transfer="carrier-pigeon")
+            Remote(two_agents, transfer="carrier-pigeon")
 
 
 class TestHealthStates:
     def test_suspect_before_failed(self, two_agents):
         tracker = HealthTracker(two_agents, suspect_after=1, fail_after=2)
-        with make_coordinator(two_agents, health=tracker) as coordinator:
+        with Remote(two_agents, health=tracker) as remote:
             two_agents["s1"].stop()
-            coordinator.run_epoch()
+            remote.coordinator.run_epoch()
             assert tracker.state("s1") is HealthState.SUSPECT
-            coordinator.run_epoch()
+            remote.coordinator.run_epoch()
             assert tracker.state("s1") is HealthState.FAILED

@@ -188,6 +188,74 @@ class TestPollCommand:
         assert "entropy" in out
 
 
+class TestCoordinateCommand:
+    """`univmon coordinate` over live in-process agents."""
+
+    @pytest.fixture()
+    def agents(self):
+        from repro.controlplane.rpc import SwitchAgent
+        from repro.dataplane.keys import src_ip_key
+        from repro.dataplane.switch import MonitoredSwitch
+        from repro.dataplane.trace import SyntheticTraceConfig, generate_trace
+        from repro.core.universal import UniversalSketch
+
+        def factory():  # the CLI's geometry for --memory-kb 64
+            return UniversalSketch.for_memory_budget(
+                64 * 1024, levels=12, rows=5, heap_size=64, seed=1)
+
+        running = []
+        for index in range(3):
+            switch = MonitoredSwitch(f"s{index}")
+            switch.attach("univmon", factory, src_ip_key)
+            trace = generate_trace(SyntheticTraceConfig(
+                packets=300 + 100 * index, flows=60, duration=1.0,
+                seed=index))
+            switch.process_trace(trace)
+            running.append((SwitchAgent(switch).start(), len(trace)))
+        yield running
+        for agent, _ in running:
+            agent.stop()
+
+    @staticmethod
+    def _specs(running):
+        specs = []
+        for index, (agent, _) in enumerate(running):
+            host, port = agent.address
+            specs += ["--agent", f"s{index}={host}:{port}"]
+        return specs
+
+    @pytest.mark.parametrize("count, shape, topology", [
+        (1, [], "1 leaves, fanout 2, tiers 1"),
+        (3, [], "3 leaves, fanout 3, tiers 1"),
+        (3, ["--fanout", "2"], "3 leaves, fanout 2, tiers 2 -> 1"),
+    ], ids=["one-agent", "flat", "fanout2"])
+    def test_two_epochs(self, agents, count, shape, topology, capsys):
+        running = agents[:count]
+        fed = sum(packets for _, packets in running)
+        code = main(["coordinate", *self._specs(running), "--epochs", "2",
+                     "--epoch", "0", "--memory-kb", "64", *shape])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"coordinating {count} agent(s) over {topology}"
+        epochs = [line for line in lines if line.startswith("epoch ")]
+        assert len(epochs) == 2
+        # POLL is reset-on-read: the second epoch sees no new traffic.
+        assert epochs[0].startswith(
+            f"epoch 0: {count}/{count} switches, {fed} packets")
+        assert epochs[1].startswith(
+            f"epoch 1: {count}/{count} switches, 0 packets")
+
+    @pytest.mark.parametrize("fanout", ["0", "1"])
+    def test_fanout_below_two_rejected(self, agents, fanout, capsys):
+        code = main(["coordinate", *self._specs(agents), "--epochs", "1",
+                     "--epoch", "0", "--memory-kb", "64",
+                     "--fanout", fanout])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"fanout must be >= 2, got {fanout}" in captured.err
+        assert "epoch 0" not in captured.out
+
+
 class TestQueryCommand:
     def _trace(self, tmp_path):
         out = tmp_path / "trace.csv"

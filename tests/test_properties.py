@@ -34,6 +34,43 @@ class TestLinearity:
             assert np.array_equal(lm.sketch.table, lw.sketch.table)
         assert merged.total_weight == whole.total_weight
 
+    @given(st.lists(streams, min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_n_ary_merge_equals_concatenation_and_pairwise_fold(self,
+                                                                parts):
+        """Splitting a stream k = 1..8 ways and merging in one call gives
+        the single-stream counters, the pairwise fold's counters, summed
+        substream accounting, and heaps that are the top-k of the union
+        of the inputs' heap keys under the summed counters."""
+        sketches = [sketch_of(part) for part in parts]
+        merged = sketches[0].merge(*sketches[1:])
+        pairwise = sketches[0]
+        for sketch in sketches[1:]:
+            pairwise = pairwise.merge(sketch)
+        whole = sketch_of([key for part in parts for key in part])
+        assert merged.packets == whole.packets
+        for j, (lm, lp, lw) in enumerate(zip(merged.levels, pairwise.levels,
+                                             whole.levels)):
+            assert np.array_equal(lm.sketch.table, lw.sketch.table)
+            assert np.array_equal(lm.sketch.table, lp.sketch.table)
+            assert (lm.packets, lm.weight) == (lw.packets, lw.weight)
+            assert lm.topk.offers == sum(s.levels[j].topk.offers
+                                         for s in sketches)
+            union = sorted(set().union(*(s.levels[j].topk.keys()
+                                         for s in sketches)))
+            kept = dict(lm.topk.items())
+            assert set(kept) <= set(union)
+            assert len(kept) == min(len(union), lm.topk.capacity)
+            if not kept:
+                continue
+            floor = min(abs(v) for v in kept.values())
+            estimates = lm.sketch.query_many(np.array(union, dtype=np.uint64))
+            for key, estimate in zip(union, estimates.tolist()):
+                if key in kept:
+                    assert kept[key] == estimate
+                else:
+                    assert abs(estimate) <= floor
+
     @given(streams, streams)
     @settings(max_examples=40, deadline=None)
     def test_subtract_then_add_back_is_identity(self, a, b):
