@@ -149,7 +149,7 @@ def test_speedup_countsketch_bulk(keys):
 
 
 def test_speedup_universal_bulk(keys):
-    """Argsort dispatch + packed sketches + bulk heap merge >= 2x."""
+    """Aggregate-once ingest + packed sketches + bulk heap merge >= 2x."""
     new = UniversalSketch(levels=8, rows=5, width=2048, heap_size=64, seed=1)
     old = UniversalSketch(levels=8, rows=5, width=2048, heap_size=64, seed=1)
     t_new = _best_seconds(lambda: new.update_array(keys), repeats=5)

@@ -6,7 +6,10 @@ count) are exactly the ``(i, w_j(i))`` pairs Algorithm 2 consumes.
 
 Heavy hitter tracking piggybacks on the counter update: the same per-row
 (bucket, sign) pairs the update touches yield the post-update median
-estimate, so tracking costs no extra hashing.
+estimate, so tracking costs no extra hashing.  The bulk path keeps that
+property per batch: a batch is first folded to its distinct keys
+(:func:`aggregate`), and each distinct key is hashed once for both its
+counter update and its heap refresh.
 """
 
 from __future__ import annotations
@@ -15,9 +18,46 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.sketches.base import UpdateCost
 from repro.sketches.countsketch import CountSketch
 from repro.sketches.topk import TopK
+
+
+def check_batch(keys, weights=None) -> np.ndarray:
+    """``keys`` as a 1-D ``uint64`` array, after checking the batch is
+    well formed: raises :class:`~repro.errors.ConfigurationError` when
+    the keys are not 1-D or ``weights`` is not one weight per key."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    if keys.ndim != 1:
+        raise ConfigurationError(
+            f"keys must be a 1-D array, got shape {keys.shape}")
+    if weights is not None and np.shape(weights) != keys.shape:
+        raise ConfigurationError(
+            f"weights must be one per key: got shape {np.shape(weights)} "
+            f"for {len(keys)} keys")
+    return keys
+
+
+def aggregate(keys: np.ndarray, weights: Optional[np.ndarray] = None
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fold a batch of packets to ``(keys, packets, weights)`` per
+    distinct key: the sorted distinct keys, each key's packet count and
+    its ``int64`` weight sum (unweighted, the packet count itself).
+
+    Weights truncate per element first, like the scalar path's
+    ``int(w)``.  Their sums run in ``float64``, as the counter updates
+    always have, so they are exact while every partial sum stays below
+    ``2**53`` in magnitude.
+    """
+    if weights is None:
+        uniq, packets = np.unique(keys, return_counts=True)
+        return uniq, packets, packets
+    weights = np.asarray(weights).astype(np.int64, copy=False)
+    uniq, inverse, packets = np.unique(keys, return_inverse=True,
+                                       return_counts=True)
+    sums = np.bincount(inverse, weights=weights, minlength=len(uniq))
+    return uniq, packets, sums.astype(np.int64)
 
 
 class SketchLevel:
@@ -51,30 +91,32 @@ class SketchLevel:
         self.topk.offer(key, float(np.median(estimates)))
 
     def update_array(self, keys: np.ndarray,
-                     weights: Optional[np.ndarray] = None,
-                     distinct: Optional[np.ndarray] = None) -> None:
-        """Bulk path: update counters vectorised, then refresh the heap
-        from the post-batch point estimates of the batch's distinct keys.
+                     weights: Optional[np.ndarray] = None) -> None:
+        """Bulk path over raw packets: :func:`aggregate` the batch, then
+        :meth:`update_distinct`.  Raises
+        :class:`~repro.errors.ConfigurationError` for a malformed batch
+        (see :func:`check_batch`)."""
+        keys = check_batch(keys, weights)
+        if len(keys):
+            self.update_distinct(*aggregate(keys, weights))
 
-        Equivalent data-plane state; the heap contents are at least as
-        accurate as the streaming heap (estimates are post-batch).
-        ``distinct``, when given, must be the sorted distinct keys of
-        ``keys`` — the universal sketch computes it once for the whole
-        batch and hands each level its slice, skipping a per-level sort.
+    def update_distinct(self, keys: np.ndarray, packets: np.ndarray,
+                        weights: np.ndarray) -> None:
+        """Fold in an aggregated batch (the output of :func:`aggregate`):
+        add each distinct key's weight to the counters, then refresh the
+        heap from the post-batch point estimates of those keys.  Each
+        key is hashed once for both.
+
+        Same counters, packets and weight as the per-packet bulk update
+        of the raw batch; the heap contents are at least as accurate as
+        the streaming heap (estimates are post-batch).
         """
-        if len(keys) == 0:
-            return
-        self.sketch.update_array(keys, weights)
-        self.packets += len(keys)
-        if weights is None:
-            self.weight += len(keys)
-        else:
-            self.weight += int(np.sum(weights))
-        uniq = np.unique(keys) if distinct is None else distinct
-        estimates = self.sketch.query_many(uniq)
+        self.packets += int(packets.sum())
+        self.weight += int(weights.sum())
+        estimates = self.sketch._update_query_many(keys, weights)
         # Bulk merge: equivalent to offering every (key, estimate) in
         # increasing-|estimate| order, in O(capacity) Python work.
-        self.topk.offer_many(uniq, estimates, sorted_keys=True)
+        self.topk.offer_many(keys, estimates, sorted_keys=True)
 
     def copy(self) -> "SketchLevel":
         """An independent snapshot sharing only the (immutable) hashes."""

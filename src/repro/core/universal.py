@@ -29,7 +29,7 @@ import numpy as np
 from repro.errors import ConfigurationError, IncompatibleSketchError
 from repro.hashing.sampling import LevelSampler
 from repro.obs.metrics import get_registry
-from repro.core.level import SketchLevel
+from repro.core.level import SketchLevel, aggregate, check_batch
 from repro.sketches.base import Sketch, UpdateCost
 from repro.sketches.topk import TopK
 
@@ -137,13 +137,19 @@ class UniversalSketch(Sketch):
                      weights: Optional[np.ndarray] = None) -> None:
         """Vectorised bulk update over a ``uint64`` key array.
 
-        Keys are sorted by sampling depth once, so level ``j`` receives
-        the contiguous suffix of keys with ``depth >= j`` — one
-        ``O(n log n)`` argsort replaces ``levels + 1`` full-array boolean
-        scans (the depth distribution is geometric, so the deep scans of
-        the old masking scheme touched mostly-empty masks).
+        The batch is folded once to its distinct keys, with each key's
+        packet count and weight sum (:func:`~repro.core.level.aggregate`),
+        and sampling depth is computed for the distinct keys only.
+        Level ``j`` then folds in the distinct keys of depth ``>= j``,
+        hashing each once for both its counter update and its heap
+        refresh (:meth:`SketchLevel.update_distinct`).  Counters, heaps,
+        packets and weights equal a per-packet bulk update of the same
+        batch; the cost follows distinct keys, not packets.
+
+        Raises :class:`~repro.errors.ConfigurationError` when ``keys``
+        is not 1-D or ``weights`` is not one weight per key.
         """
-        keys = np.asarray(keys, dtype=np.uint64)
+        keys = check_batch(keys, weights)
         n = len(keys)
         if n == 0:
             return
@@ -154,40 +160,34 @@ class UniversalSketch(Sketch):
         reg = get_registry()
         with reg.span("univmon_sketch_update_seconds",
                       help="bulk update latency per batch"):
-            self._update_array(keys, weights, n)
+            distinct = self._update_array(keys, weights, n)
         reg.counter("univmon_sketch_update_packets_total",
                     help="packets folded in through the bulk path").inc(n)
+        reg.counter("univmon_sketch_update_distinct_total",
+                    help="distinct keys per bulk batch, summed over "
+                         "batches").inc(distinct)
 
     def _update_array(self, keys: np.ndarray,
-                      weights: Optional[np.ndarray], n: int) -> None:
+                      weights: Optional[np.ndarray], n: int) -> int:
+        """The body of :meth:`update_array` on a checked batch of ``n``
+        packets; returns the batch's distinct-key count."""
+        keys, packets, weights = aggregate(keys, weights)
         depths = self.sampler.deepest_level_array(keys)
-        order = np.argsort(depths, kind="stable")
-        keys = keys[order]
-        if weights is not None:
-            # Same int64 coercion as the per-sketch bulk paths: float (or
-            # object) weight arrays truncate toward zero *per element*,
-            # exactly like the scalar loop's int(w), instead of leaking
-            # a float sum into the level weight accounting.
-            weights = np.asarray(weights).astype(np.int64, copy=False)[order]
-        depths = depths[order]
-        # starts[j] = first index with depth >= j; level j consumes the
-        # suffix keys[starts[j]:].
-        starts = np.searchsorted(depths, np.arange(len(self.levels)),
-                                 side="left")
-        # Distinct keys once for the whole batch; a level's distinct set
-        # is a mask slice (depth is a pure function of the key), which
-        # preserves the sorted order np.unique produced.
-        uniq = np.unique(keys)
-        uniq_depths = self.sampler.deepest_level_array(uniq)
+        distinct = len(keys)
         for j, level in enumerate(self.levels):
-            lo = int(starts[j])
-            if lo >= n:
-                break
-            level.update_array(keys[lo:],
-                               None if weights is None else weights[lo:],
-                               distinct=uniq[uniq_depths >= j])
+            if j:
+                # Depth is prefix-closed, so level j's keys are the
+                # previous level's keys of depth >= j (still sorted).
+                deeper = depths >= j
+                if not deeper.any():
+                    break
+                keys, packets, weights, depths = (
+                    keys[deeper], packets[deeper], weights[deeper],
+                    depths[deeper])
+            level.update_distinct(keys, packets, weights)
         self.packets += n
         self._version += 1
+        return distinct
 
     @property
     def total_weight(self) -> int:
@@ -396,6 +396,9 @@ class UniversalSketch(Sketch):
         Every packet pays all ``levels`` sampling bits (computed in one
         pass) and updates level ``j`` with probability ``2**-j``, so the
         expected number of Count Sketch updates is < 2 regardless of depth.
+        This models the paper's per-packet switch pipeline, not the
+        software bulk path, which hashes each distinct key of a batch
+        once per level (:meth:`update_array`).
         """
         per_level = self.levels[0].update_cost()
         expected_levels = sum(2.0 ** -j for j in range(self.num_levels + 1))

@@ -14,6 +14,12 @@ read-modify-write ≈ 4; a likely-L2/L3 memory touch ≈ 10).  The paper's
 claim is *relative* ("UnivMon's suite cost is ~0.5x OpenSketch's; worst
 case 10-15% more expensive per task"), and relative op counts are
 preserved under any positive choice of weights of the right magnitude.
+
+The counts model the paper's per-packet switch pipeline: every packet
+hashes and updates each level it reaches.  They do not model this
+repository's software bulk path, which folds a batch to its distinct
+keys before hashing (DESIGN.md §6), so its wall-clock cost follows
+distinct keys rather than packets.
 """
 
 from __future__ import annotations

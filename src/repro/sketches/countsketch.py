@@ -18,7 +18,7 @@ independent, more than the pairwise independence the analysis needs.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -106,49 +106,85 @@ class CountSketch(Sketch):
             sign = 1 if (v >> 63) else -1
             table[r, v % width] += sign * weight
 
+    def _row_slots(self, keys: np.ndarray) -> Iterator[np.ndarray]:
+        """Each row's slot ``sign_bit * width + bucket`` for every key:
+        one ``int64`` array per row, in row order.
+
+        The one place the bulk paths hash.  A packed geometry
+        (:meth:`_packed_state`) evaluates every row with one XOR-gather
+        and yields each row's bit field in turn, so a large batch never
+        holds more than one row's slots; any other geometry evaluates all
+        rows with one :meth:`TabulationHash.hash_matrix` and derives each
+        slot from the hash as the scalar path does (low bits modulo
+        ``width`` -> bucket, top bit -> sign).
+        """
+        packed, field_bits = self._packed_state()
+        if packed is not None:
+            words = gather_packed(packed, keys)
+            fmask = np.int64(2 * self.width - 1)
+            for r in range(self.rows):
+                slot = words >> np.int64(r * field_bits)
+                slot &= fmask
+                yield slot
+            return
+        width = np.uint64(self.width)
+        v = TabulationHash.hash_matrix(self._hashes, keys)
+        slots = (v >> np.uint64(63)) * width
+        slots += v % width
+        yield from slots.view(np.int64)  # every slot < 2 * width
+
+    def _add(self, row_slots: Iterable[np.ndarray],
+             weights: Optional[np.ndarray]) -> None:
+        """Add ``weights`` (``float64``; one each when ``None``) at each
+        row's slots with one ``np.bincount`` per row over ``2 * width``
+        slots.  The sign bit selects the half, so the signed sum is
+        ``counts[width:] - counts[:width]`` with no sign multiply."""
+        width = self.width
+        for row, slot in zip(self.table, row_slots):
+            counts = np.bincount(slot, weights=weights, minlength=2 * width)
+            if weights is not None:
+                # float64 sums of int64 weights < 2**53 stay exact.
+                counts = counts.astype(np.int64)
+            row += counts[width:]
+            row -= counts[:width]
+
+    def _estimates(self, row_slots: Iterable[np.ndarray],
+                   n: int) -> np.ndarray:
+        """Median over rows of each row's signed counter at the slots of
+        ``n`` keys."""
+        vals = np.empty((self.rows, n), dtype=np.int64)
+        positive = np.empty((self.rows, n), dtype=bool)
+        for row, slot, out, pos in zip(self.table, row_slots, vals,
+                                       positive):
+            # mode="wrap" folds the sign half back onto the bucket.
+            row.take(slot, mode="wrap", out=out)
+            # slot >= width <=> sign bit set <=> sign is +1.
+            np.greater_equal(slot, self.width, out=pos)
+        # The median of int64 rows is the float64 it is over float rows,
+        # without the NaN scan.
+        return np.median(np.where(positive, vals, -vals), axis=0)
+
     def update_array(self, keys: np.ndarray,
                      weights: Optional[np.ndarray] = None) -> None:
-        """Vectorised bulk update (numpy ``uint64`` keys).
-
-        Fast path: one XOR-gather over the fused slot tables
-        (:meth:`_packed_state`) evaluates every row's ``(sign, bucket)``
-        at once, then a per-row ``np.bincount`` over ``2 * width`` slots
-        accumulates — the sign bit selects the half, so the signed sum
-        is ``counts[width:] - counts[:width]`` with no sign multiply.
-        Falls back to a 2-D hash + flattened ``bincount`` when the
-        geometry cannot be packed into 64-bit slot words.
-        """
+        """Vectorised bulk update (numpy ``uint64`` keys): the batch is
+        hashed once (:meth:`_row_slots`) and each row accumulates it
+        with one ``np.bincount`` (:meth:`_add`)."""
         if len(keys) == 0:
             return
         if weights is not None:
-            weights = np.asarray(weights).astype(np.int64, copy=False)
-        table = self.table
-        rows, width = self.rows, self.width
-        packed, field_bits = self._packed_state()
-        if packed is not None:
-            slots = gather_packed(packed, keys)
-            wf = None if weights is None else weights.astype(np.float64)
-            fmask = np.int64((2 * width) - 1)
-            for r in range(rows):
-                slot = (slots >> np.int64(r * field_bits)) & fmask
-                if wf is None:
-                    counts = np.bincount(slot, minlength=2 * width)
-                else:
-                    # float64 sums of int64 weights < 2**53 stay exact.
-                    counts = np.bincount(slot, weights=wf,
-                                         minlength=2 * width)
-                    counts = counts.astype(np.int64)
-                table[r] += counts[width:]
-                table[r] -= counts[:width]
-            return
-        v = TabulationHash.hash_matrix(self._hashes, keys)      # (rows, n)
-        sign = np.where(v >> np.uint64(63), 1, -1).astype(np.int64)
-        buckets = (v % np.uint64(width)).astype(np.int64)
-        slots = buckets + (np.arange(rows, dtype=np.int64)[:, None] * width)
-        signed = sign if weights is None else sign * weights
-        counts = np.bincount(slots.ravel(), weights=signed.ravel(),
-                             minlength=rows * width)
-        table += counts.astype(np.int64).reshape(rows, width)
+            # Truncate per element, like the scalar path's int(w).
+            weights = np.asarray(weights).astype(np.int64, copy=False) \
+                .astype(np.float64)
+        self._add(self._row_slots(keys), weights)
+
+    def _update_query_many(self, keys: np.ndarray,
+                           weights: np.ndarray) -> np.ndarray:
+        """:meth:`update_array` then :meth:`query_many` over the same
+        keys, hashing them once.  The universal sketch's per-level fold
+        of distinct keys, whose ``weights`` are ``int64`` sums."""
+        slots = list(self._row_slots(keys))
+        self._add(slots, weights.astype(np.float64))
+        return self._estimates(slots, len(keys))
 
     def query(self, key: int) -> float:
         """Unbiased point estimate of the key's total weight (median rule)."""
@@ -162,24 +198,7 @@ class CountSketch(Sketch):
     def query_many(self, keys: np.ndarray) -> np.ndarray:
         """Vectorised point queries for a ``uint64`` key array."""
         keys = np.asarray(keys, dtype=np.uint64)
-        packed, field_bits = self._packed_state()
-        if packed is not None:
-            slots = gather_packed(packed, keys)
-            width = np.int64(self.width)
-            fmask = np.int64(2 * self.width - 1)
-            estimates = np.empty((self.rows, len(keys)), dtype=np.float64)
-            for r in range(self.rows):
-                slot = (slots >> np.int64(r * field_bits)) & fmask
-                vals = self.table[r, slot & (width - 1)]
-                # slot >= width <=> sign bit set <=> sign is +1.
-                estimates[r] = np.where(slot >= width, vals, -vals)
-            return np.median(estimates, axis=0)
-        v = TabulationHash.hash_matrix(self._hashes, keys)      # (rows, n)
-        sign = np.where(v >> np.uint64(63), 1.0, -1.0)
-        buckets = (v % np.uint64(self.width)).astype(np.intp)
-        rows_idx = np.arange(self.rows)[:, None]
-        estimates = sign * self.table[rows_idx, buckets]
-        return np.median(estimates, axis=0)
+        return self._estimates(self._row_slots(keys), len(keys))
 
     def l2_estimate(self) -> float:
         """Estimate of the stream's L2 norm (median of per-row norms)."""

@@ -95,6 +95,90 @@ class TestDataPlane:
         assert u.levels[0].packets == len(keys)
 
 
+class TestMalformedBatch:
+    """A bulk batch must be 1-D keys with one weight per key; anything
+    else is rejected before the batch is folded, leaving the sketch
+    untouched."""
+
+    @staticmethod
+    def _assert_rejected(keys, weights=None):
+        u = make()
+        with pytest.raises(ConfigurationError):
+            u.update_array(keys, weights)
+        assert u.packets == 0 and u.version == 0
+        assert all(lvl.packets == 0 and not lvl.sketch.table.any()
+                   for lvl in u.levels)
+
+    def test_longer_weights_rejected(self):
+        # Used to ingest the first 10 weights and drop the rest silently.
+        self._assert_rejected(np.arange(10, dtype=np.uint64),
+                              np.ones(12, dtype=np.int64))
+
+    def test_shorter_weights_rejected(self):
+        # Used to fail with a bare numpy IndexError.
+        self._assert_rejected(np.arange(10, dtype=np.uint64),
+                              np.ones(8, dtype=np.int64))
+
+    def test_two_dimensional_keys_rejected(self):
+        # Aggregation would flatten these while `packets` counted rows.
+        self._assert_rejected(np.arange(12, dtype=np.uint64).reshape(4, 3))
+
+
+class TestBulkOracle:
+    """The aggregate-once bulk path against the per-packet bulk semantics
+    rebuilt from public primitives: level ``j`` gets every raw packet of
+    depth ``>= j`` through ``CountSketch.update_array``, then its heap
+    gets the batch's distinct keys of that depth through
+    ``TopK.offer_many`` with ``query_many`` estimates."""
+
+    @staticmethod
+    def _oracle_update(u, keys, weights):
+        depths = u.sampler.deepest_level_array(keys)
+        distinct = np.unique(keys)
+        distinct_depths = u.sampler.deepest_level_array(distinct)
+        for j, level in enumerate(u.levels):
+            sel = depths >= j
+            if not sel.any():
+                break
+            w = None if weights is None else weights[sel]
+            level.sketch.update_array(keys[sel], w)
+            level.packets += int(sel.sum())
+            level.weight += int(sel.sum()) if w is None else int(w.sum())
+            uniq = distinct[distinct_depths >= j]
+            level.topk.offer_many(uniq, level.sketch.query_many(uniq),
+                                  sorted_keys=True)
+        u.packets += len(keys)
+
+    @pytest.mark.parametrize("width", [128, 125])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_counters_heaps_and_churn_match(self, width, weighted,
+                                            make_rng):
+        rng = make_rng(41)
+        fast = make(levels=5, width=width, heap=8, seed=42, rows=5)
+        oracle = make(levels=5, width=width, heap=8, seed=42, rows=5)
+        for batch in range(6):
+            size = int(rng.integers(500, 4000))
+            # The heavy keys move every batch, so the heaps churn.
+            keys = ((rng.zipf(1.3, size=size) + 40 * batch) % 700) \
+                .astype(np.uint64)
+            weights = rng.integers(-1000, 1000, size=size) \
+                if weighted else None
+            fast.update_array(keys, weights)
+            self._oracle_update(oracle, keys, weights)
+            assert fast.packets == oracle.packets
+            for lf, lo in zip(fast.levels, oracle.levels):
+                assert np.array_equal(lf.sketch.table, lo.sketch.table)
+                assert (lf.packets, lf.weight) == (lo.packets, lo.weight)
+                assert lf.topk.items() == lo.topk.items()
+                assert (lf.topk.offers, lf.topk.evictions,
+                        lf.topk.rejections) == \
+                    (lo.topk.offers, lo.topk.evictions, lo.topk.rejections)
+        # The heaps were full and churned, so the comparison had teeth.
+        assert all(len(lvl.topk) == 8 for lvl in fast.levels[:3])
+        assert all(lvl.topk.evictions > 0 and lvl.topk.rejections > 0
+                   for lvl in fast.levels[:3])
+
+
 class TestHeavyHitters:
     def test_detects_elephant(self):
         u = make(levels=6, width=512, heap=16, seed=8, rows=5)
@@ -341,7 +425,7 @@ class TestWeightDtypeParity:
     the sketch disagreed with itself and with the scalar loop."""
 
     @pytest.mark.parametrize("dtype", ["float64", "float32", "int32",
-                                       "object"])
+                                       "uint64", "object"])
     def test_bulk_weights_match_scalar_loop(self, dtype, make_rng):
         rng = make_rng(9)
         keys = rng.integers(0, 200, size=1500).astype(np.uint64)

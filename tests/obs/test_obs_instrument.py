@@ -123,6 +123,12 @@ class TestSketchSpans:
         hist = reg.get("univmon_sketch_update_seconds")
         assert hist.count == 2
         assert reg.get("univmon_sketch_update_packets_total").value == 1000
+        # Distinct keys are counted per batch: a key in both batches
+        # counts twice, as it costs twice.
+        distinct = len(np.unique(keys[:600])) + len(np.unique(keys[600:]))
+        assert distinct < 1000
+        assert reg.get("univmon_sketch_update_distinct_total").value == \
+            distinct
 
     def test_queries_record_per_op_latency(self):
         reg = MetricsRegistry()

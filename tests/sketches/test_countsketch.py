@@ -55,12 +55,15 @@ class TestPointQuery:
         assert abs(est - 5000) / 5000 < 0.05
 
     def test_query_many_matches_scalar(self):
-        cs = CountSketch(rows=4, width=128, seed=4)
-        _fill(cs, {k: 3 * k for k in range(1, 30)})
-        keys = np.arange(1, 30, dtype=np.uint64)
-        many = cs.query_many(keys)
-        for k, v in zip(keys.tolist(), many.tolist()):
-            assert cs.query(int(k)) == pytest.approx(v)
+        # A power-of-two width takes the packed bulk path, any other
+        # width the generic one; odd rows have a single middle value.
+        for rows, width in ((4, 128), (5, 125)):
+            cs = CountSketch(rows=rows, width=width, seed=4)
+            _fill(cs, {k: 3 * k for k in range(1, 30)})
+            keys = np.arange(1, 30, dtype=np.uint64)
+            many = cs.query_many(keys)
+            for k, v in zip(keys.tolist(), many.tolist()):
+                assert cs.query(int(k)) == v
 
     def test_unbiasedness_over_seeds(self):
         """E[estimate] = true frequency: average over many seeds."""

@@ -175,43 +175,55 @@ class TestScalarVectorParity:
 
     uint64_keys = st.lists(st.integers(0, (1 << 64) - 1),
                            min_size=1, max_size=150)
+    #: Keys from a small universe (so a batch repeats keys and the bulk
+    #: path's per-key aggregation does real work) or the full 64 bits.
+    batch_keys = st.integers(0, 40) | st.integers(0, (1 << 64) - 1)
+    #: Power-of-two widths take the packed path, others the generic one.
+    widths = st.sampled_from([64, 61])
 
-    @given(uint64_keys)
-    @settings(max_examples=25, deadline=None)
-    def test_universal_update_paths_agree(self, keys):
-        arr = np.array(keys, dtype=np.uint64)
-        bulk = UniversalSketch(levels=4, rows=3, width=64, heap_size=256,
-                               seed=11)
-        scalar = UniversalSketch(levels=4, rows=3, width=64, heap_size=256,
-                                 seed=11)
-        bulk.update_array(arr)
-        for k in keys:
-            scalar.update(k)
+    @staticmethod
+    def _assert_same_state(bulk, scalar):
         assert bulk.packets == scalar.packets
         for lb, ls in zip(bulk.levels, scalar.levels):
             assert np.array_equal(lb.sketch.table, ls.sketch.table)
             assert lb.packets == ls.packets
             assert lb.weight == ls.weight
+
+    @given(st.lists(st.lists(batch_keys, min_size=1, max_size=150),
+                    min_size=1, max_size=4), widths)
+    @settings(max_examples=25, deadline=None)
+    def test_universal_update_paths_agree(self, batches, width):
+        bulk = UniversalSketch(levels=4, rows=3, width=width,
+                               heap_size=1024, seed=11)
+        scalar = UniversalSketch(levels=4, rows=3, width=width,
+                                 heap_size=1024, seed=11)
+        for keys in batches:
+            bulk.update_array(np.array(keys, dtype=np.uint64))
+            for k in keys:
+                scalar.update(k)
+            self._assert_same_state(bulk, scalar)
+        for lb, ls in zip(bulk.levels, scalar.levels):
             # heap_size exceeds the distinct-key count, so both paths
             # must track exactly the substream's distinct keys.
             assert set(lb.topk.keys()) == set(ls.topk.keys())
 
-    @given(uint64_keys, st.lists(st.integers(1, 1000),
-                                 min_size=150, max_size=150))
+    @given(st.lists(st.lists(st.tuples(batch_keys,
+                                       st.integers(-1000, 1000)),
+                             min_size=1, max_size=150),
+                    min_size=1, max_size=4), widths)
     @settings(max_examples=25, deadline=None)
-    def test_weighted_universal_update_paths_agree(self, keys, weights):
-        arr = np.array(keys, dtype=np.uint64)
-        w = np.array(weights[:len(keys)], dtype=np.uint64)
-        bulk = UniversalSketch(levels=3, rows=3, width=32, heap_size=256,
+    def test_weighted_universal_update_paths_agree(self, batches, width):
+        bulk = UniversalSketch(levels=3, rows=3, width=width, heap_size=256,
                                seed=23)
-        scalar = UniversalSketch(levels=3, rows=3, width=32, heap_size=256,
-                                 seed=23)
-        bulk.update_array(arr, w)
-        for k, wt in zip(keys, w.tolist()):
-            scalar.update(k, int(wt))
-        for lb, ls in zip(bulk.levels, scalar.levels):
-            assert np.array_equal(lb.sketch.table, ls.sketch.table)
-            assert lb.weight == ls.weight
+        scalar = UniversalSketch(levels=3, rows=3, width=width,
+                                 heap_size=256, seed=23)
+        for batch in batches:
+            keys, weights = zip(*batch)
+            bulk.update_array(np.array(keys, dtype=np.uint64),
+                              np.array(weights, dtype=np.int64))
+            for k, wt in batch:
+                scalar.update(k, wt)
+            self._assert_same_state(bulk, scalar)
 
     @given(uint64_keys, st.integers(0, 10))
     @settings(max_examples=40, deadline=None)
