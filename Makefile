@@ -114,10 +114,10 @@ bench-query:
 	PYTHONPATH=src:$(PYTHONPATH) \
 	$(PYTHON) -m pytest benchmarks/bench_query_latency.py -q -s
 
-# Aggregation-tree scale bench: bytes-on-wire (raw vs delta transfer,
-# with the >= 3x codec floor) and root merge time (flat vs tree) swept
-# across switch counts, recorded into BENCH_network.json plus the
-# bytes-vs-switch-count figure, then spliced into EXPERIMENTS.md.
+# Aggregation-tree scale bench: bytes-on-wire (uncompressed frames vs
+# wire bytes, with the >= 3x codec floor) and root merge time (flat vs
+# tree) swept across switch counts, recorded into BENCH_network.json
+# plus the bytes-vs-switch-count figure, then spliced into EXPERIMENTS.md.
 bench-network:
 	PYTHONPATH=src:$(PYTHONPATH) \
 	$(PYTHON) -m pytest benchmarks/bench_network_scale.py -q -s

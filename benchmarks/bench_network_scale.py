@@ -6,17 +6,17 @@ records, per point:
 - **flat vs tree**: root merge seconds per epoch (a flat fan-in makes
   the root decode and merge every leaf; the tree amortises the fold
   across rack/pod aggregators so the root does ``fanout`` merges);
-- **raw vs delta**: steady-state bytes on the wire per epoch for the
-  same Zipf traffic, raw = uncompressed full frames end to end,
-  delta = the codec's per-frame minimum of (compressed) delta and
-  full encodings against each hop's acked base.
+- **raw vs wire**: steady-state bytes per epoch for the same Zipf
+  traffic, raw = every frame of the epoch uncompressed (serialized
+  sketch plus frame header), wire = the compressed frames actually
+  shipped.  Both come from the same run: raw is the codec's
+  ``univmon_codec_raw_bytes_total`` over the epoch plus one
+  ``HEADER_BYTES`` header per frame.
 
-The release floor is ``raw_bytes / delta_bytes >= 3`` at every swept
-switch count (ISSUE 7 acceptance: "at least 3x fewer bytes than raw
-on steady-state Zipf traffic").  A sealed-and-reset epoch stream shares
-no baseline between epochs, so the winning encoding is the *compressed
-full frame* (DESIGN.md §11); genuine DELTA frames are exercised
-separately on a cumulative counter stream and recorded alongside.
+The release floor is ``raw_bytes / wire_bytes >= 3`` at every swept
+switch count ("at least 3x fewer bytes than raw on steady-state Zipf
+traffic").  Every frame is a full sealed sketch (DESIGN.md §11), so
+the floor is earned by counter sparsity plus compression.
 
 Results go to ``benchmarks/results/BENCH_network.json`` plus an ASCII
 bytes-vs-switch-count figure in ``network_scale.txt``; both are spliced
@@ -24,6 +24,7 @@ into EXPERIMENTS.md by ``collect_results.py``.
 """
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -31,7 +32,6 @@ import numpy as np
 import pytest
 
 from repro.eval.asciichart import render_chart
-from repro.network.codec import DeltaDecoder, DeltaEncoder, frame_info
 from repro.network.faults import SimLink, SimulatedSwitch, zipf_keys
 from repro.network.hierarchy import HierarchicalCoordinator, TreePlan
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -46,6 +46,7 @@ FANOUT = 8
 PACKETS_PER_SWITCH = 120
 FLOWS = 512
 EPOCHS = 4  # steady state: measure the last epoch
+HEADER_BYTES = 30  # the codec's UMF1 frame header ("<4sBBqqII")
 
 
 def factory():
@@ -57,6 +58,7 @@ def factory():
 def _emit_results_json():
     yield
     if _RESULTS:
+        _RESULTS["cpus"] = os.cpu_count()
         results_dir = Path(__file__).parent / "results"
         results_dir.mkdir(exist_ok=True)
         (results_dir / "BENCH_network.json").write_text(
@@ -66,17 +68,14 @@ def _emit_results_json():
 class Fleet:
     """A dropless simulated fleet under one coordinator."""
 
-    def __init__(self, n, transfer, fanout=FANOUT, seed=0):
-        on = transfer == "delta"
+    def __init__(self, n, fanout=FANOUT, seed=0):
         names = [f"sw{i:03d}" for i in range(n)]
-        self.switches = {
-            name: SimulatedSwitch(name, factory, delta=on, compress=on)
-            for name in names}
+        self.switches = {name: SimulatedSwitch(name, factory)
+                         for name in names}
         links = {name: SimLink(self.switches[name], drop_rate=0.0,
                                seed=seed + i)
                  for i, name in enumerate(names)}
-        self.coord = HierarchicalCoordinator(
-            links, factory, fanout=fanout, transfer=transfer)
+        self.coord = HierarchicalCoordinator(links, factory, fanout=fanout)
         self.rng = np.random.default_rng(seed)
 
     def feed(self):
@@ -90,47 +89,48 @@ class Fleet:
         return report.results["coverage"]
 
 
-def steady_state(n, transfer, fanout=FANOUT):
-    """Per-epoch wire bytes and timings once codec bases are warm."""
-    fleet = Fleet(n, transfer, fanout=fanout)
+def steady_state(n, fanout=FANOUT):
+    """Wire and raw bytes and timings of the last of ``EPOCHS`` epochs."""
+    fleet = Fleet(n, fanout=fanout)
     with use_registry(MetricsRegistry()) as registry:
         for _ in range(EPOCHS - 1):
             fleet.epoch()
         merge_before = registry.get("univmon_tree_merge_seconds")
         merged_s = merge_before.sum if merge_before else 0.0
+        raw = registry.get("univmon_codec_raw_bytes_total")
+        raw_before = raw.value
         t0 = time.perf_counter()
         cov = fleet.epoch()
         wall_s = time.perf_counter() - t0
         merge_s = registry.get("univmon_tree_merge_seconds").sum \
             - merged_s
+        raw_body = raw.value - raw_before
     assert cov["coverage"] == 1.0
     return {
         "bytes_wire": cov["bytes_wire"],
-        "frames_full": cov["frames_full"],
-        "frames_delta": cov["frames_delta"],
+        "raw_bytes": int(raw_body) + HEADER_BYTES * cov["frames_full"],
+        "frames": cov["frames_full"],
         "root_merge_ms": round(merge_s * 1e3, 4),
         "epoch_wall_ms": round(wall_s * 1e3, 4),
         "tiers": fleet.coord.plan.depth,
     }
 
 
-def test_bytes_on_wire_raw_vs_delta():
+def test_bytes_on_wire_vs_raw():
     """The codec floor: >= 3x fewer bytes than raw at every scale."""
     sweep = {}
     for n in SWITCH_COUNTS:
-        raw = steady_state(n, "raw")
-        delta = steady_state(n, "delta")
-        ratio = raw["bytes_wire"] / delta["bytes_wire"]
+        point = steady_state(n)
+        ratio = point["raw_bytes"] / point["bytes_wire"]
         sweep[str(n)] = {
-            "raw_bytes": raw["bytes_wire"],
-            "delta_bytes": delta["bytes_wire"],
+            "raw_bytes": point["raw_bytes"],
+            "wire_bytes": point["bytes_wire"],
             "ratio": round(ratio, 2),
-            "frames_full": delta["frames_full"],
-            "frames_delta": delta["frames_delta"],
+            "frames": point["frames"],
         }
         assert ratio >= 3.0, (
-            f"delta transfer at {n} switches is only {ratio:.2f}x "
-            f"smaller than raw (need >= 3x)")
+            f"wire bytes at {n} switches are only {ratio:.2f}x "
+            f"fewer than raw (need >= 3x)")
     _RESULTS["bytes_on_wire"] = {
         "fanout": FANOUT,
         "packets_per_switch": PACKETS_PER_SWITCH,
@@ -140,12 +140,11 @@ def test_bytes_on_wire_raw_vs_delta():
 
     series = {
         "raw": [(int(n), row["raw_bytes"]) for n, row in sweep.items()],
-        "delta": [(int(n), row["delta_bytes"])
-                  for n, row in sweep.items()],
+        "wire": [(int(n), row["wire_bytes"]) for n, row in sweep.items()],
     }
     chart = render_chart(series, x_label="switches", y_label="bytes/epoch",
-                         title="steady-state wire bytes per epoch "
-                               "(raw vs delta transfer)")
+                         title="steady-state bytes per epoch "
+                               "(raw vs wire)")
     results_dir = Path(__file__).parent / "results"
     results_dir.mkdir(exist_ok=True)
     (results_dir / "network_scale.txt").write_text(chart + "\n")
@@ -157,8 +156,8 @@ def test_merge_time_flat_vs_tree():
     root folds ``fanout`` pre-merged subtrees.  Record both."""
     sweep = {}
     for n in SWITCH_COUNTS:
-        tree = steady_state(n, "delta")
-        flat = steady_state(n, "delta", fanout=max(2, n))
+        tree = steady_state(n)
+        flat = steady_state(n, fanout=max(2, n))
         sweep[str(n)] = {
             "flat_root_merge_ms": flat["root_merge_ms"],
             "tree_root_merge_ms": tree["root_merge_ms"],
@@ -172,29 +171,3 @@ def test_merge_time_flat_vs_tree():
     assert largest["tree_root_merge_ms"] <= \
         largest["flat_root_merge_ms"] * 1.5
 
-
-def test_delta_frames_engage_on_cumulative_stream():
-    """On a cumulative counter stream (bases shared between epochs)
-    genuine DELTA frames win; record their steady-state size."""
-    enc, dec = DeltaEncoder(), DeltaDecoder()
-    full_only = DeltaEncoder(delta=False, compress=True)
-    cumulative = factory()
-    rng = np.random.default_rng(3)
-    kinds, delta_bytes, full_bytes = [], [], []
-    for epoch in range(6):
-        cumulative.update_array(
-            zipf_keys(rng, PACKETS_PER_SWITCH, flows=FLOWS))
-        frame = enc.encode(cumulative.copy(), base_epoch=dec.base_epoch)
-        dec.decode(frame)
-        kinds.append(frame_info(frame).kind)
-        delta_bytes.append(len(frame))
-        full_bytes.append(len(full_only.encode(cumulative.copy())))
-    assert kinds[0] == "full" and "delta" in kinds[1:]
-    steady = [b for kind, b in zip(kinds, delta_bytes)
-              if kind == "delta"]
-    _RESULTS["cumulative_delta"] = {
-        "frame_kinds": kinds,
-        "delta_frame_bytes": steady,
-        "compressed_full_bytes": full_bytes[-1],
-        "savings_vs_full": round(full_bytes[-1] / steady[-1], 2),
-    }

@@ -196,9 +196,6 @@ def _add_coordinate(sub: argparse._SubParsersAction) -> None:
                    help="children per aggregator: a rack/pod/root tree "
                         "with re-parenting (default: every agent under "
                         "the root, a flat fan-in)")
-    p.add_argument("--transfer", choices=["raw", "delta"], default="raw",
-                   help="full frames every poll or delta-compressed "
-                        "frames against the last acked epoch")
     p.add_argument("--min-coverage", type=float, default=0.0,
                    help="fraction of switches an epoch must represent")
     p.add_argument("--quorum", type=float, default=0.0,
@@ -885,7 +882,7 @@ def _coordinate_loop(args: argparse.Namespace) -> int:
                 {name: AgentLink(client, program=args.program)
                  for name, client in clients.items()},
                 sketch_factory=factory, fanout=fanout,
-                health=health, transfer=args.transfer,
+                health=health,
                 policy=ResiliencePolicy(min_coverage=args.min_coverage,
                                         quorum=args.quorum,
                                         fail_open=args.fail_mode == "open"))

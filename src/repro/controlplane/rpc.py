@@ -31,11 +31,10 @@ stream can no longer be trusted and the connection must be rebuilt.
 
 Commands:
 
-- ``POLL <program>``  -> payload = serialized sealed sketch
-- ``DELTA <program> <base_epoch>`` -> payload = one
-  :mod:`repro.network.codec` frame of the sealed sketch: a sparse delta
-  when ``base_epoch`` matches the epoch the agent last framed for this
-  program (the receiver's *ack*), a compressed full frame otherwise
+- ``POLL <program>``  -> payload = serialized sealed sketch (any
+  sketch type the serializer knows)
+- ``FRAME <program>`` -> payload = the sealed sketch as one
+  compressed :mod:`repro.network.codec` frame
 - ``MEMORY``          -> payload = ascii decimal total data-plane bytes
 - ``STATS``           -> payload = ascii ``packets=<n> programs=<k>``
 - ``PING``            -> payload = ``pong``
@@ -49,7 +48,7 @@ reconnects automatically; every call retries transport failures under a
 :class:`RetryPolicy` (exponential backoff, deterministic seeded jitter).
 Server-reported errors (status 1) are *not* retried — the exchange
 succeeded, the answer was an error.  Note the one semantic wrinkle:
-``POLL`` and ``DELTA`` swap the epoch sketch before the response
+``POLL`` and ``FRAME`` swap the epoch sketch before the response
 travels, so a retry after a *response* loss returns the next
 (near-empty) epoch; the coverage report of
 :class:`~repro.network.hierarchy.HierarchicalCoordinator` makes that
@@ -260,7 +259,6 @@ class SwitchAgent:
     def __init__(self, switch: MonitoredSwitch, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.switch = switch
-        self._encoders: Dict[str, object] = {}  # program -> DeltaEncoder
         self._lock = threading.Lock()
         self._conn_lock = threading.Lock()
         self._connections: set = set()
@@ -338,32 +336,18 @@ class SwitchAgent:
                     text = (f"packets={self.switch.packets_seen} "
                             f"programs={len(self.switch.programs())}")
                 return STATUS_OK, text.encode()
-            if verb == "POLL":
+            if verb in ("POLL", "FRAME"):
                 if len(parts) != 2:
-                    raise RpcError("usage: POLL <program>")
+                    raise RpcError(f"usage: {verb} <program>")
                 with self._lock:
                     sealed = self.switch.poll(parts[1])
-                return STATUS_OK, serialization.dumps(sealed)
-            if verb == "DELTA":
-                if len(parts) != 3:
-                    raise RpcError("usage: DELTA <program> <base_epoch>")
-                try:
-                    base_epoch = int(parts[2])
-                except ValueError:
-                    raise RpcError(
-                        f"base_epoch must be an integer, got "
-                        f"{parts[2]!r}") from None
+                if verb == "POLL":
+                    return STATUS_OK, serialization.dumps(sealed)
                 # Imported lazily: repro.network imports the control
                 # plane (the tree builds on the controller), so a
                 # module-level import would be circular.
                 from repro.network.codec import DeltaEncoder
-                with self._lock:
-                    encoder = self._encoders.get(parts[1])
-                    if encoder is None:
-                        encoder = self._encoders[parts[1]] = DeltaEncoder()
-                    sealed = self.switch.poll(parts[1])
-                    return STATUS_OK, encoder.encode(
-                        sealed, base_epoch=base_epoch)
+                return STATUS_OK, DeltaEncoder().encode(sealed)
             raise RpcError(f"unknown command {verb!r}")
         except ReproError as exc:
             return STATUS_ERROR, str(exc).encode()
@@ -515,9 +499,8 @@ class RemoteSwitchClient:
         """Poll-and-reset one program; returns the reconstructed sketch."""
         return serialization.loads(self._call(f"POLL {program}"))
 
-    def poll_frame(self, program: str, base_epoch: int) -> bytes:
-        """Poll-and-reset one program as a codec frame, acking
-        ``base_epoch`` as the epoch this side already holds.  Returns
-        the raw frame bytes; decode with a
+    def poll_frame(self, program: str) -> bytes:
+        """Poll-and-reset one program as one codec frame.  Returns the
+        raw frame bytes; decode with a
         :class:`~repro.network.codec.DeltaDecoder`."""
-        return self._call(f"DELTA {program} {int(base_epoch)}")
+        return self._call(f"FRAME {program}")

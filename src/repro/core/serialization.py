@@ -19,6 +19,7 @@ for a 5-second polling cadence.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from typing import BinaryIO, Union
 
@@ -43,18 +44,10 @@ _TYPE_UNIVERSAL = 4
 # must not translate into a multi-gigabyte allocation or a numpy reshape
 # traceback; anything outside these bounds is rejected as a format error.
 # The largest geometry the experiments use is orders of magnitude smaller.
-# Shared with :mod:`repro.network.codec`, whose delta frames carry the
-# same geometry fields and face the same hostile inputs.
 MAX_LEVELS = 64
 MAX_ROWS = 512
 MAX_WIDTH = 1 << 24
 MAX_HEAP = 1 << 20
-
-# Backwards-compatible private aliases.
-_MAX_LEVELS = MAX_LEVELS
-_MAX_ROWS = MAX_ROWS
-_MAX_WIDTH = MAX_WIDTH
-_MAX_HEAP = MAX_HEAP
 
 
 def _check_range(name: str, value: int, lo: int, hi: int) -> int:
@@ -118,9 +111,12 @@ def _write_topk(out: BinaryIO, topk: TopK) -> None:
         out.write(struct.pack("<Qd", key, estimate))
 
 
-def _read_topk(buf: BinaryIO) -> TopK:
+def _read_topk(buf: BinaryIO, heap_size: int) -> TopK:
     capacity, count = struct.unpack("<II", _read_exact(buf, 8))
-    _check_range("heap capacity", capacity, 1, _MAX_HEAP)
+    if capacity != heap_size:
+        raise TraceFormatError(
+            f"corrupt sketch payload: level heap capacity {capacity} "
+            f"differs from the sketch's heap_size {heap_size}")
     if count > capacity:
         raise TraceFormatError(
             f"corrupt sketch payload: heap holds {count} items but its "
@@ -128,6 +124,13 @@ def _read_topk(buf: BinaryIO) -> TopK:
     topk = TopK(capacity)
     for _ in range(count):
         key, estimate = struct.unpack("<Qd", _read_exact(buf, 16))
+        if not math.isfinite(estimate):
+            raise TraceFormatError(
+                f"corrupt sketch payload: heap estimate {estimate} for "
+                f"key {key} is not finite")
+        if key in topk:
+            raise TraceFormatError(
+                f"corrupt sketch payload: heap lists key {key} twice")
         topk.offer(key, estimate)
     return topk
 
@@ -146,8 +149,8 @@ def _dump_count_sketch(out: BinaryIO, sketch: CountSketch,
 
 def _load_tableau(buf: BinaryIO, cls, type_name: str):
     rows, width, seed = struct.unpack("<IIq", _read_exact(buf, 16))
-    _check_range("rows", rows, 1, _MAX_ROWS)
-    _check_range("width", width, 1, _MAX_WIDTH)
+    _check_range("rows", rows, 1, MAX_ROWS)
+    _check_range("width", width, 1, MAX_WIDTH)
     sketch = cls(rows=rows, width=width, seed=seed)
     sketch.table = _read_table(buf, rows, width)
     return sketch
@@ -175,11 +178,17 @@ def _load_universal(buf: BinaryIO) -> UniversalSketch:
     sketch = UniversalSketch(levels=levels, rows=rows, width=width,
                              heap_size=heap_size, seed=seed)
     sketch.packets = packets
-    for level in sketch.levels:
+    for j, level in enumerate(sketch.levels):
+        # Weights may be negative (weighted ingest allows it); packet
+        # counts may not.
         level.packets, level.weight = struct.unpack(
             "<qq", _read_exact(buf, 16))
+        if level.packets < 0:
+            raise TraceFormatError(
+                f"corrupt sketch payload: level {j} has negative packet "
+                f"count {level.packets}")
         level.sketch.table = _read_table(buf, rows, width)
-        level.topk = _read_topk(buf)
+        level.topk = _read_topk(buf, heap_size)
     return sketch
 
 
@@ -213,7 +222,8 @@ def loads(data: Union[bytes, bytearray]):
 
     Truncated or corrupt payloads raise :class:`TraceFormatError` — never
     a raw ``struct.error`` or numpy reshape traceback — so transport
-    layers can treat any decode failure uniformly.
+    layers can treat any decode failure uniformly.  The payload must
+    hold exactly one sketch: trailing bytes are rejected too.
     """
     buf = io.BytesIO(bytes(data))
     magic = buf.read(4)
@@ -222,13 +232,18 @@ def loads(data: Union[bytes, bytearray]):
     try:
         (type_tag,) = struct.unpack("<B", _read_exact(buf, 1))
         if type_tag == _TYPE_UNIVERSAL:
-            return _load_universal(buf)
-        if type_tag == _TYPE_COUNT_SKETCH:
-            return _load_tableau(buf, CountSketch, "CountSketch")
-        if type_tag == _TYPE_COUNT_MIN:
-            return _load_tableau(buf, CountMinSketch, "CountMinSketch")
-        if type_tag == _TYPE_KARY:
-            return _load_tableau(buf, KArySketch, "KArySketch")
+            sketch = _load_universal(buf)
+        elif type_tag == _TYPE_COUNT_SKETCH:
+            sketch = _load_tableau(buf, CountSketch, "CountSketch")
+        elif type_tag == _TYPE_COUNT_MIN:
+            sketch = _load_tableau(buf, CountMinSketch, "CountMinSketch")
+        elif type_tag == _TYPE_KARY:
+            sketch = _load_tableau(buf, KArySketch, "KArySketch")
+        else:
+            raise TraceFormatError(f"unknown sketch type tag {type_tag}")
     except (struct.error, ValueError, OverflowError) as exc:
         raise TraceFormatError(f"corrupt sketch payload: {exc}") from exc
-    raise TraceFormatError(f"unknown sketch type tag {type_tag}")
+    if buf.read(1):
+        raise TraceFormatError(
+            "corrupt sketch payload: trailing bytes after the sketch")
+    return sketch

@@ -14,8 +14,8 @@ Implements the §5 research directions that have concrete constructions:
 - :mod:`~repro.network.faults` — a seeded chaos TCP proxy for testing the
   poll protocol under drops, truncation, corruption, and delay, plus the
   in-process switch/link simulators the scale suites run on.
-- :mod:`~repro.network.codec` — delta-encoded, compressed sketch frames
-  with CRC-protected framing and reject-never-corrupt decoding.
+- :mod:`~repro.network.codec` — compressed full-sketch frames with
+  CRC-protected framing and reject-never-corrupt decoding.
 - :mod:`~repro.network.hierarchy` — the network-wide epoch loop: an
   aggregation tree (flat collection is its one-tier case) over
   simulated or TCP switch links, with retries, re-parenting around dead

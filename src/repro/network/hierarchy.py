@@ -29,24 +29,23 @@ Resilience is the point, not an afterthought:
   ``fail_open`` decide whether a degraded epoch is published,
   published-degraded, or withheld, instead of exact-or-nothing.
 
-Transfers use :mod:`repro.network.codec` end to end: leaves frame their
-sealed epoch sketches against the collector's acked base, and each
-aggregator's uplink does the same one tier up.  Re-parenting composes
-with the codec's ack discipline for free — a fresh collector claims
-``NO_BASE`` and simply receives a full frame.
+Transfers use :mod:`repro.network.codec` end to end: every leaf ships
+its sealed epoch sketch as one compressed full frame, and each
+aggregator's uplink does the same one tier up.  No hop keeps codec
+state, so re-parenting needs no codec handling: a stand-in collector
+decodes an adopted child's frame like any other.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CodecError, ConfigurationError, TransportError
 from repro.obs.metrics import get_registry
 from repro.controlplane.controller import AppHost, EpochReport
-from repro.network.codec import NO_BASE, DeltaDecoder, DeltaEncoder, \
-    frame_info
+from repro.network.codec import DeltaDecoder, DeltaEncoder
 from repro.network.health import HealthTracker
 from repro.core.universal import UniversalSketch
 
@@ -55,8 +54,8 @@ from repro.core.universal import UniversalSketch
 ROOT = "root"
 
 #: Most decoded sketches a collector's pending run holds before it is
-#: merged.  Each is a copy of its decoder's base, so without a cap a
-#: flat fan-in would hold two sketches per leaf.
+#: merged.  Without a cap a flat fan-in would hold one decoded sketch
+#: per leaf until the end of the tier.
 MAX_RUN = 32
 
 #: Tier naming, bottom-up; deeper trees fall back to ``t<k>``.
@@ -143,10 +142,6 @@ class TreePlan:
         """Number of aggregation tiers, root included."""
         return len(self.tiers)
 
-    def aggregators(self) -> List[str]:
-        """Every aggregator name, bottom-up, root last."""
-        return [agg for tier in self.tiers for agg, _ in tier]
-
     def describe(self) -> str:
         sizes = " -> ".join(str(len(tier)) for tier in self.tiers)
         return (f"{len(self.leaves)} leaves, fanout {self.fanout}, "
@@ -190,25 +185,6 @@ class ResiliencePolicy:
         return "withheld", True
 
 
-@dataclass
-class _AggregatorState:
-    """Mutable per-aggregator runtime state (liveness + codec peers)."""
-
-    name: str
-    alive: bool = True
-    #: Receive-side codec state, one decoder per child this node has
-    #: ever collected from (adopted children included).
-    decoders: Dict[str, DeltaDecoder] = field(default_factory=dict)
-    #: Send-side codec state for this node's uplink.
-    encoder: DeltaEncoder = field(default_factory=DeltaEncoder)
-
-    def crash(self) -> None:
-        """Process death: every codec lineage this node held is gone."""
-        self.alive = False
-        self.decoders.clear()
-        self.encoder.reset()
-
-
 class HierarchicalCoordinator(AppHost):
     """Epoch loop over an aggregation tree of switch links.
 
@@ -219,8 +195,8 @@ class HierarchicalCoordinator(AppHost):
     Parameters
     ----------
     links:
-        ``{leaf_name: link}`` where a link has ``poll(base_epoch) ->
-        frame bytes`` and ``ping()``, both raising
+        ``{leaf_name: link}`` where a link has ``poll() -> frame
+        bytes`` and ``ping()``, both raising
         :class:`~repro.errors.TransportError` on failure, and a
         ``counters`` mapping with cumulative ``retries`` and
         ``failures`` —
@@ -241,10 +217,8 @@ class HierarchicalCoordinator(AppHost):
         Leaf failure detection; defaults to ``suspect_after=1,
         fail_after=2``.
     transfer:
-        ``"delta"`` (default) keeps per-link decoder state so leaves and
-        uplinks can ship sparse deltas; ``"raw"`` forces every frame to
-        claim ``NO_BASE`` — the uncompressed-baseline mode of the
-        benchmarks is the links' own business (their encoders).
+        ``"delta"`` (default) or ``"raw"``.  Validated but ignored:
+        every hop ships compressed full frames either way.
     """
 
     def __init__(self, links: Mapping[str, object],
@@ -278,20 +252,14 @@ class HierarchicalCoordinator(AppHost):
         self.policy = policy if policy is not None else ResiliencePolicy()
         self.health = health if health is not None else HealthTracker(
             plan.leaves, suspect_after=1, fail_after=2)
-        self.transfer = transfer
         self._epoch = 0
         #: collector -> (accumulated sketch, leaves it represents); only
         #: set while an epoch runs.
         self._acc: Optional[Dict[str, Tuple[UniversalSketch, set]]] = None
-        self.aggregators: Dict[str, _AggregatorState] = {
-            name: _AggregatorState(name, encoder=self._uplink_encoder())
-            for name in plan.aggregators()}
-
-    def _uplink_encoder(self) -> DeltaEncoder:
-        """Send-side codec for an aggregator's uplink, honouring the
-        coordinator's transfer mode (raw = uncompressed full frames)."""
-        on = self.transfer == "delta"
-        return DeltaEncoder(delta=on, compress=on)
+        #: Aggregators killed and not yet restarted.
+        self._dead: set = set()
+        self._encoder = DeltaEncoder()
+        self._decoder = DeltaDecoder()
 
     # ------------------------------------------------------------------ #
     # fault injection
@@ -304,30 +272,23 @@ class HierarchicalCoordinator(AppHost):
             raise ConfigurationError(
                 "the root is the coordinator process itself; stop the "
                 "epoch loop instead of killing it")
-        state = self._aggregator(name)
-        if not state.alive:
+        self._check_aggregator(name)
+        if name in self._dead:
             return
-        state.crash()
+        self._dead.add(name)
         if self._acc is not None and name in self._acc:
             sketch, leaves = self._acc.pop(name)
             self._lost_in_flight += sketch.packets
             self._lost_leaves.update(leaves)
 
     def restart_aggregator(self, name: str) -> None:
-        """Bring an aggregator back empty (fresh codec lineages)."""
-        state = self._aggregator(name)
-        if state.alive:
-            return
-        state.alive = True
-        state.decoders = {}
-        state.encoder = self._uplink_encoder()
+        """Bring an aggregator back empty."""
+        self._check_aggregator(name)
+        self._dead.discard(name)
 
-    def _aggregator(self, name: str) -> _AggregatorState:
-        try:
-            return self.aggregators[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown aggregator {name!r}") from None
+    def _check_aggregator(self, name: str) -> None:
+        if name not in self.plan.children:
+            raise ConfigurationError(f"unknown aggregator {name!r}")
 
     # ------------------------------------------------------------------ #
     # re-parenting
@@ -345,19 +306,13 @@ class HierarchicalCoordinator(AppHost):
         return self._resolve(primary)
 
     def _resolve(self, agg: str) -> str:
-        if self.aggregators[agg].alive:
+        if agg not in self._dead:
             return agg
-        if agg == ROOT:  # pragma: no cover - kill_aggregator forbids this
-            return ROOT
         parent = self.plan.parent[agg]
         for sibling in self.plan.children[parent]:
-            if sibling != agg and self.aggregators[sibling].alive:
+            if sibling != agg and sibling not in self._dead:
                 return sibling
         return self._resolve(parent)
-
-    def _decoder(self, collector: str, child: str) -> DeltaDecoder:
-        return self.aggregators[collector].decoders.setdefault(
-            child, DeltaDecoder())
 
     # ------------------------------------------------------------------ #
     # epoch loop
@@ -370,36 +325,15 @@ class HierarchicalCoordinator(AppHost):
             -> List[EpochReport]:
         return [self.run_epoch(on_tier=on_tier) for _ in range(count)]
 
-    def _poll_leaf(self, name: str, collector: str) -> \
-            Optional[UniversalSketch]:
-        """One leaf poll with codec recovery: a rejected frame resets
-        the decoder and forces exactly one full-frame re-poll."""
-        link = self.links[name]
-        decoder = self._decoder(collector, name)
-        base = decoder.base_epoch if self.transfer == "delta" else NO_BASE
-        for attempt in range(2):
-            frame = link.poll(base)
-            self._count_frame(frame, "leaf")
-            try:
-                return decoder.decode(frame)
-            except CodecError:
-                decoder.reset()
-                base = NO_BASE
-                if attempt:
-                    raise
-        return None  # pragma: no cover - loop always returns or raises
-
-    def _count_frame(self, frame: bytes, hop: str) -> None:
-        info = frame_info(frame)
+    def _ship(self, frame: bytes, hop: str) -> UniversalSketch:
+        """Account one frame on the wire and decode it."""
         self._bytes_wire += len(frame)
-        if info.kind == "delta":
-            self._frames_delta += 1
-        else:
-            self._frames_full += 1
+        self._frames_full += 1
         get_registry().counter(
             "univmon_tree_bytes_total",
             help="framed sketch bytes shipped through the tree",
             hop=hop).inc(len(frame))
+        return self._decoder.decode(frame)
 
     def run_epoch(self, on_tier: Optional[
             Callable[[int, "HierarchicalCoordinator"], None]] = None) \
@@ -419,7 +353,6 @@ class HierarchicalCoordinator(AppHost):
         # Per-epoch accounting, visible to kill_aggregator mid-epoch.
         self._bytes_wire = 0
         self._frames_full = 0
-        self._frames_delta = 0
         self._lost_in_flight = 0
         self._lost_leaves: set = set()
         self._root_merge_s = 0.0
@@ -447,7 +380,7 @@ class HierarchicalCoordinator(AppHost):
             if collector != self.plan.parent[name]:
                 reparented[name] = collector
             try:
-                sketch = self._poll_leaf(name, collector)
+                sketch = self._ship(self.links[name].poll(), "leaf")
             except (TransportError, CodecError):
                 self.health.record_failure(name)
                 if not was_failed and not self.health.is_live(name):
@@ -464,28 +397,13 @@ class HierarchicalCoordinator(AppHost):
         # ---- aggregator tiers ship bottom-up ------------------------ #
         for tier_index, tier in enumerate(self.plan.tiers[:-1], start=1):
             for agg, _ in tier:
-                state = self.aggregators[agg]
-                if not state.alive or agg not in self._acc:
+                if agg in self._dead or agg not in self._acc:
                     continue
                 sketch, leaves = self._acc.pop(agg)
                 target = self._resolve(self.plan.parent[agg])
-                if target == agg:  # pragma: no cover - cannot self-ship
-                    continue
                 if target != self.plan.parent[agg]:
                     reparented[agg] = target
-                decoder = self._decoder(target, agg)
-                base = decoder.base_epoch if self.transfer == "delta" \
-                    else NO_BASE
-                frame = state.encoder.encode(sketch, base_epoch=base)
-                self._count_frame(frame, "uplink")
-                try:
-                    shipped = decoder.decode(frame)
-                except CodecError:  # pragma: no cover - same-process pair
-                    decoder.reset()
-                    frame = state.encoder.encode(sketch,
-                                                 base_epoch=NO_BASE)
-                    self._count_frame(frame, "uplink")
-                    shipped = decoder.decode(frame)
+                shipped = self._ship(self._encoder.encode(sketch), "uplink")
                 self._collect(target, shipped, leaves)
             self._flush()
             if on_tier is not None:
@@ -563,16 +481,13 @@ class HierarchicalCoordinator(AppHost):
             "lost_in_flight_switches": sorted(self._lost_leaves),
             "bytes_wire": self._bytes_wire,
             "frames_full": self._frames_full,
-            "frames_delta": self._frames_delta,
             "packets_covered": covered_packets,
             "retries": retries,
             "transport_failures": transport_failures,
             "failed": self.health.failed(),
             "lost": sorted(lost),
             "recovered": sorted(recovered),
-            "dead_aggregators": sorted(
-                name for name, state in self.aggregators.items()
-                if not state.alive),
+            "dead_aggregators": sorted(self._dead),
             "health": self.health.snapshot(),
         }
         if status != "withheld" and covered_leaves:
@@ -597,7 +512,7 @@ class HierarchicalCoordinator(AppHost):
         rack's leaves, a pod's racks) form a run that :meth:`_flush`
         merges in one call.  A run holds at most :data:`MAX_RUN`
         decoded sketches, so a flat fan-in keeps at most that many
-        copies alive besides the decoders' one base per leaf.
+        alive at once.
         """
         if collector != self._run_to or len(self._run) >= MAX_RUN:
             self._flush()
@@ -641,5 +556,5 @@ class AgentLink:
     def ping(self) -> bool:
         return self.client.ping(retry=self.client.retry.fail_fast())
 
-    def poll(self, base_epoch: int) -> bytes:
-        return self.client.poll_frame(self.program, base_epoch)
+    def poll(self) -> bytes:
+        return self.client.poll_frame(self.program)

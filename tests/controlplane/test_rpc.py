@@ -77,6 +77,18 @@ class TestProtocol:
         fresh = client.poll("univmon")
         assert fresh.total_weight == 0
 
+    def test_frame_returns_one_full_codec_frame(self, agent, client,
+                                                tiny_trace):
+        from repro.network.codec import DeltaDecoder, frame_info
+        agent.switch.process_trace(tiny_trace)
+        frame = client.poll_frame("univmon")
+        assert frame_info(frame).kind == "full"
+        sketch = DeltaDecoder().decode(frame)
+        assert sketch.total_weight == len(tiny_trace)
+        # reset-on-read, like POLL
+        fresh = DeltaDecoder().decode(client.poll_frame("univmon"))
+        assert fresh.total_weight == 0
+
     def test_unknown_program_is_remote_error(self, client):
         with pytest.raises(RpcError):
             client.poll("nope")
@@ -138,6 +150,15 @@ class TestErrorPaths:
             client._call("POLL")
         with pytest.raises(RpcError, match="usage"):
             client._call("POLL univmon extra")
+
+    def test_malformed_frame_is_remote_error(self, client):
+        with pytest.raises(RpcError, match="usage: FRAME"):
+            client._call("FRAME")
+        # the retired delta verb's acked base is not accepted
+        with pytest.raises(RpcError, match="usage: FRAME"):
+            client._call("FRAME univmon -1")
+        with pytest.raises(RpcError, match="unknown command"):
+            client._call("DELTA univmon -1")
 
     def test_truncated_response_mid_payload(self):
         """A frame cut inside the payload is a short read, not a hang."""

@@ -71,7 +71,7 @@ class TestRoundTrips:
 
 
 class TestSparseAndEmptyStates:
-    """Boundary states the delta codec leans on: empty sketches (a
+    """Boundary states the frame codec leans on: empty sketches (a
     restarted switch's first poll), heap-only occupancy, and geometry
     at the serializer's documented limits."""
 
@@ -213,6 +213,61 @@ class TestHardening:
         struct.pack_into("<I", data, count_off, u.heap_size + 1)
         with pytest.raises(TraceFormatError, match="capacity"):
             serialization.loads(bytes(data))
+
+    # Level 0 of a levels=1, rows=1, width=8, heap_size=8 sketch: the
+    # 37-byte header, then packets(8) weight(8) nbytes(4) table(64),
+    # then heap capacity(4) count(4) and 16-byte (key, estimate) items.
+    _LEVEL0 = 37
+    _CAPACITY = _LEVEL0 + 16 + 4 + 64
+    _ITEMS = _CAPACITY + 8
+
+    def _heap_payload(self):
+        u = UniversalSketch(levels=1, rows=1, width=8, heap_size=8, seed=1)
+        u.update_array(np.arange(20, dtype=np.uint64))
+        assert len(u.levels[0].topk) == 8
+        return bytearray(serialization.dumps(u))
+
+    def test_trailing_bytes_rejected(self):
+        for sketch in (filled_universal(), CountSketch(rows=2, width=8,
+                                                       seed=1)):
+            data = serialization.dumps(sketch) + b"\x00\x00"
+            with pytest.raises(TraceFormatError, match="trailing"):
+                serialization.loads(data)
+
+    def test_non_finite_heap_estimate_rejected(self):
+        data = self._heap_payload()
+        struct.pack_into("<d", data, self._ITEMS + 8, float("nan"))
+        with pytest.raises(TraceFormatError, match="finite"):
+            serialization.loads(bytes(data))
+
+    def test_duplicate_heap_keys_rejected(self):
+        data = self._heap_payload()
+        data[self._ITEMS + 16:self._ITEMS + 24] = \
+            data[self._ITEMS:self._ITEMS + 8]
+        with pytest.raises(TraceFormatError, match="twice"):
+            serialization.loads(bytes(data))
+
+    def test_heap_capacity_must_match_heap_size(self):
+        data = self._heap_payload()
+        struct.pack_into("<I", data, self._CAPACITY, 1000)
+        with pytest.raises(TraceFormatError, match="heap_size"):
+            serialization.loads(bytes(data))
+
+    def test_negative_level_packets_rejected(self):
+        data = self._heap_payload()
+        struct.pack_into("<q", data, self._LEVEL0, -5)
+        with pytest.raises(TraceFormatError, match="negative"):
+            serialization.loads(bytes(data))
+
+    def test_negative_level_weight_accepted(self):
+        # Weighted ingest allows negative weights, so a level's weight
+        # may be negative on the wire.
+        u = UniversalSketch(levels=1, rows=1, width=8, heap_size=8, seed=1)
+        u.update_array(np.arange(4, dtype=np.uint64),
+                       weights=np.full(4, -3, dtype=np.int64))
+        back = serialization.loads(serialization.dumps(u))
+        assert back.levels[0].weight == u.levels[0].weight < 0
+        assert back.levels[0].topk.items() == u.levels[0].topk.items()
 
 
 class TestCompactness:

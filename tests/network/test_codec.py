@@ -1,4 +1,4 @@
-"""Tests for the delta/compressed sketch codec (reject, never corrupt)."""
+"""Tests for the sketch frame codec (reject, never corrupt)."""
 
 import struct
 import zlib
@@ -6,9 +6,9 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.errors import CodecError, StaleBaseError
+from repro.core import serialization
+from repro.errors import CodecError
 from repro.network.codec import (
-    FRAME_DELTA,
     FRAME_FULL,
     NO_BASE,
     DeltaDecoder,
@@ -18,6 +18,15 @@ from repro.network.codec import (
 from repro.core.universal import UniversalSketch
 
 _HEADER = struct.Struct("<4sBBqqII")
+
+# Universal body layout: magic(4) tag(1) levels(4) rows(4) width(4)
+# heap(4) seed(8) packets(8), then per level: packets(8) weight(8)
+# table nbytes(4) table, heap capacity(4) heap count(4) items(16 each).
+_WIDTH_AT = 13
+_LEVEL0_AT = 37
+_TABLE_BYTES = 2 * 64 * 8
+_HEAP_COUNT_AT = _LEVEL0_AT + 16 + 4 + _TABLE_BYTES + 4
+_HEAP_ITEMS_AT = _HEAP_COUNT_AT + 4
 
 
 def factory():
@@ -37,100 +46,64 @@ def assert_equal_state(a, b):
         assert la.packets == lb.packets
         assert la.weight == lb.weight
         assert np.array_equal(la.sketch.table, lb.sketch.table)
-        assert sorted(la.topk.items()) == sorted(lb.topk.items())
+        assert la.topk.items() == lb.topk.items()
+        # Decoded heaps hold their keys largest |estimate| first.
+        assert lb.topk.keys() == [key for key, _ in la.topk.items()]
 
 
-def reframe(frame, *, ftype=None, flags=None, epoch=None, base_epoch=None,
-            body=None):
+def reframe(frame, *, ftype=None, flags=None, body=None):
     """Rebuild a frame with selected header fields (CRC recomputed, so
     the *decoder's semantic checks* are what reject it)."""
     magic, t, f, e, b, length, crc = _HEADER.unpack(frame[:_HEADER.size])
     payload = frame[_HEADER.size:] if body is None else body
     t = t if ftype is None else ftype
     f = f if flags is None else flags
-    e = e if epoch is None else epoch
-    b = b if base_epoch is None else base_epoch
     header = _HEADER.pack(magic, t, f, e, b, len(payload),
                           zlib.crc32(payload) & 0xFFFFFFFF)
     return header + payload
 
 
-def delta_exchange(n_epochs=3):
-    """Encoder/decoder pair driven on a *cumulative* counter stream so
-    real DELTA frames engage (a sealed-and-reset stream falls back to
-    full frames; see DESIGN.md §11)."""
-    enc = DeltaEncoder()
-    dec = DeltaDecoder()
-    cumulative = factory()
-    frames = []
-    for epoch in range(n_epochs):
-        fill(cumulative, seed=epoch, packets=50)
-        frame = enc.encode(cumulative.copy(), base_epoch=dec.base_epoch)
-        frames.append(frame)
-        dec.decode(frame)
-    return enc, dec, cumulative, frames
-
-
 class TestRoundTrips:
     def test_full_frame_round_trip(self):
-        enc, dec = DeltaEncoder(), DeltaDecoder()
         sketch = fill(factory())
-        got = dec.decode(enc.encode(sketch, base_epoch=NO_BASE))
+        got = DeltaDecoder().decode(DeltaEncoder().encode(sketch))
         assert_equal_state(sketch, got)
 
     def test_empty_sketch_round_trip(self):
-        enc, dec = DeltaEncoder(), DeltaDecoder()
-        got = dec.decode(enc.encode(factory(), base_epoch=NO_BASE))
+        got = DeltaDecoder().decode(DeltaEncoder().encode(factory()))
         assert_equal_state(factory(), got)
 
-    def test_delta_frames_engage_on_cumulative_stream(self):
-        enc, dec, cumulative, frames = delta_exchange(4)
-        kinds = [frame_info(f).kind for f in frames]
-        assert kinds[0] == "full"
-        assert "delta" in kinds[1:]
-        assert_equal_state(cumulative, dec.decode(
-            enc.encode(cumulative.copy(), base_epoch=dec.base_epoch)))
+    def test_frame_layout(self):
+        """UMF1 header (type FULL, epoch 0, NO_BASE, payload CRC) over
+        the level-6 zlib of the serialized sketch."""
+        sketch = fill(factory())
+        payload = zlib.compress(serialization.dumps(sketch), 6)
+        header = _HEADER.pack(b"UMF1", FRAME_FULL, 1, 0, NO_BASE,
+                              len(payload), zlib.crc32(payload))
+        assert DeltaEncoder().encode(sketch) == header + payload
 
-    def test_sealed_stream_falls_back_to_full(self):
-        # Per-epoch sealed sketches share no baseline with the previous
-        # epoch, so the delta (which must also revert the old counters)
-        # loses to the compressed full frame; the encoder's per-frame
-        # minimum picks FULL.  This is a property, not a bug.
+    def test_sealed_stream_frames_are_all_full(self):
         enc, dec = DeltaEncoder(), DeltaDecoder()
         for epoch in range(4):
-            frame = enc.encode(fill(factory(), seed=epoch),
-                               base_epoch=dec.base_epoch)
-            dec.decode(frame)
-            assert frame_info(frame).kind == "full"
-
-    def test_stale_ack_downgrades_to_full(self):
-        enc = DeltaEncoder()
-        enc.encode(fill(factory(), seed=0), base_epoch=NO_BASE)
-        frame = enc.encode(fill(factory(), seed=1), base_epoch=999)
-        assert frame_info(frame).kind == "full"
+            sketch = fill(factory(), seed=epoch)
+            frame = enc.encode(sketch)
+            info = frame_info(frame)
+            assert (info.kind, info.compressed) == ("full", True)
+            assert_equal_state(sketch, dec.decode(frame))
 
     def test_decoded_sketch_is_independent_of_decoder_state(self):
-        enc, dec = DeltaEncoder(), DeltaDecoder()
-        got = dec.decode(enc.encode(fill(factory()), base_epoch=NO_BASE))
-        got.update(7)  # mutating the result must not corrupt the base
-        again = dec.decode(enc.encode(fill(factory()),
-                                      base_epoch=dec.base_epoch))
+        dec = DeltaDecoder()
+        frame = DeltaEncoder().encode(fill(factory()))
+        got = dec.decode(frame)
+        got.update(7)  # mutating one result must not leak into the next
+        again = dec.decode(frame)
+        assert again is not got
         assert_equal_state(fill(factory()), again)
 
-    def test_raw_mode_never_stores_a_base(self):
-        enc = DeltaEncoder(delta=False, compress=False)
-        for epoch in range(3):
-            frame = enc.encode(fill(factory(), seed=epoch),
-                               base_epoch=epoch - 1)
-            assert frame_info(frame).kind == "full"
-            assert not frame_info(frame).compressed
-
     def test_compression_shrinks_sparse_sketches(self):
-        raw = DeltaEncoder(delta=False, compress=False)
-        packed = DeltaEncoder(delta=False, compress=True)
         sketch = fill(factory(), packets=30)
-        assert len(packed.encode(sketch.copy())) \
-            < len(raw.encode(sketch)) / 3
+        raw = _HEADER.size + len(serialization.dumps(sketch))
+        assert len(DeltaEncoder().encode(sketch)) < raw / 3
 
 
 class TestFraming:
@@ -151,8 +124,9 @@ class TestFraming:
 
     def test_unknown_type_and_flags_rejected(self):
         frame = DeltaEncoder().encode(fill(factory()))
-        with pytest.raises(CodecError):
-            DeltaDecoder().decode(reframe(frame, ftype=99))
+        for ftype in (0, 2, 99):
+            with pytest.raises(CodecError, match="type"):
+                DeltaDecoder().decode(reframe(frame, ftype=ftype))
         with pytest.raises(CodecError):
             DeltaDecoder().decode(reframe(frame, flags=0x80))
 
@@ -162,115 +136,59 @@ class TestFraming:
             frame_info(frame + b"extra")
 
     def test_truncation_at_every_offset_rejected(self):
-        enc, dec, _, frames = delta_exchange()
-        delta_frame = next(f for f in frames
-                           if frame_info(f).kind == "delta")
-        fresh_enc, _, _, _ = delta_exchange()
-        for cut in range(len(delta_frame) - 1):
-            _, dec2, _, _ = delta_exchange()
+        frame = DeltaEncoder().encode(fill(factory()))
+        dec = DeltaDecoder()
+        for cut in range(len(frame)):
             with pytest.raises(CodecError):
-                dec2.decode(delta_frame[:cut])
+                dec.decode(frame[:cut])
 
 
-class TestHostileDeltas:
-    """Hand-corrupted DELTA bodies: every reject leaves state intact."""
+class TestHostileFrames:
+    """Hand-corrupted frame bodies, re-framed uncompressed with a valid
+    CRC: the body checks must reject each one."""
 
     def hostile(self, mutate):
-        """Run a delta exchange, mutate the *next* delta body, and
-        return (decoder, corrupt frame, decoder state before)."""
-        enc, dec, cumulative, _ = delta_exchange()
-        fill(cumulative, seed=99, packets=40)
-        frame = enc.encode(cumulative.copy(), base_epoch=dec.base_epoch)
-        info = frame_info(frame)
-        assert info.kind == "delta", "fixture must produce a real delta"
-        body = bytearray(zlib.decompress(frame[_HEADER.size:])
-                         if info.compressed else frame[_HEADER.size:])
-        body = mutate(body, dec)
-        corrupt = reframe(frame, flags=0, body=bytes(body))
-        return dec, corrupt, dec.base_epoch
+        frame = DeltaEncoder().encode(fill(factory()))
+        body = bytearray(zlib.decompress(frame[_HEADER.size:]))
+        return reframe(frame, flags=0, body=bytes(mutate(body)))
 
-    def assert_rejected_cleanly(self, mutate, exc=CodecError):
-        dec, corrupt, epoch_before = self.hostile(mutate)
-        with pytest.raises(exc):
-            dec.decode(corrupt)
-        assert dec.base_epoch == epoch_before  # state untouched
-
-    def test_out_of_range_index_rejected(self):
-        def mutate(body, dec):
-            # geometry(24) + packets(8) + level header(16) -> nchanged u32
-            offset = 24 + 8 + 16
-            (nchanged,) = struct.unpack_from("<I", body, offset)
-            assert nchanged > 0
-            struct.pack_into("<I", body, offset + 4, 1 << 30)
-            return body
-        self.assert_rejected_cleanly(mutate)
-
-    def test_duplicate_indices_rejected(self):
-        def mutate(body, dec):
-            offset = 24 + 8 + 16
-            (nchanged,) = struct.unpack_from("<I", body, offset)
-            assert nchanged >= 2
-            (first,) = struct.unpack_from("<I", body, offset + 4)
-            struct.pack_into("<I", body, offset + 8, first)
-            return body
-        self.assert_rejected_cleanly(mutate)
-
-    def test_overflowing_delta_rejected(self):
-        def mutate(body, dec):
-            offset = 24 + 8 + 16
-            (nchanged,) = struct.unpack_from("<I", body, offset)
-            deltas_at = offset + 4 + 4 * nchanged
-            struct.pack_into("<q", body, deltas_at,
-                             np.iinfo(np.int64).max)
-            return body
-        self.assert_rejected_cleanly(mutate)
-
-    def test_changed_count_above_level_size_rejected(self):
-        def mutate(body, dec):
-            struct.pack_into("<I", body, 24 + 8 + 16, 1 << 31)
-            return body
-        self.assert_rejected_cleanly(mutate)
-
-    def test_stale_base_epoch_rejected(self):
-        enc, dec, cumulative, _ = delta_exchange()
-        frame = enc.encode(cumulative.copy(), base_epoch=dec.base_epoch)
-        assert frame_info(frame).kind == "delta"
-        fresh = DeltaDecoder()
-        with pytest.raises(StaleBaseError):
-            fresh.decode(frame)
-        assert fresh.base_epoch == NO_BASE
-
-    def test_non_monotonic_epoch_rejected(self):
-        enc, dec, cumulative, _ = delta_exchange()
-        frame = enc.encode(cumulative.copy(), base_epoch=dec.base_epoch)
-        assert frame_info(frame).kind == "delta"
-        epoch_before = dec.base_epoch
-        with pytest.raises(StaleBaseError):
-            dec.decode(reframe(frame, epoch=epoch_before - 1))
-        assert dec.base_epoch == epoch_before
-
-    def test_geometry_mismatch_rejected(self):
-        def mutate(body, dec):
-            struct.pack_into("<I", body, 8, 63)  # width 64 -> 63
-            return body
-        self.assert_rejected_cleanly(mutate)
-
-    def test_heap_count_above_capacity_rejected(self):
-        def mutate(body, dec):
-            # walk to level 0's heap count field
-            offset = 24 + 8 + 16
-            (nchanged,) = struct.unpack_from("<I", body, offset)
-            heap_at = offset + 4 + 12 * nchanged
-            struct.pack_into("<I", body, heap_at, 1 << 20)
-            return body
-        self.assert_rejected_cleanly(mutate)
+    def test_unmutated_body_decodes(self):
+        assert_equal_state(fill(factory()), DeltaDecoder().decode(
+            self.hostile(lambda body: body)))
 
     def test_full_frame_carrying_garbage_rejected(self):
-        enc, dec = DeltaEncoder(), DeltaDecoder()
-        frame = enc.encode(fill(factory()))
+        frame = DeltaEncoder().encode(fill(factory()))
         with pytest.raises(CodecError):
-            dec.decode(reframe(frame, flags=0, body=b"UMS1garbage"))
-        assert dec.base_epoch == NO_BASE
+            DeltaDecoder().decode(
+                reframe(frame, flags=0, body=b"UMS1garbage"))
+
+    def test_hostile_geometry_rejected(self):
+        def mutate(body):
+            struct.pack_into("<I", body, _WIDTH_AT, 1 << 31)
+            return body
+        with pytest.raises(CodecError, match="width"):
+            DeltaDecoder().decode(self.hostile(mutate))
+
+    def test_heap_count_above_capacity_rejected(self):
+        def mutate(body):
+            struct.pack_into("<I", body, _HEAP_COUNT_AT, 1 << 20)
+            return body
+        with pytest.raises(CodecError, match="capacity"):
+            DeltaDecoder().decode(self.hostile(mutate))
+
+    def test_duplicate_heap_key_rejected(self):
+        def mutate(body):
+            (count,) = struct.unpack_from("<I", body, _HEAP_COUNT_AT)
+            assert count >= 2
+            body[_HEAP_ITEMS_AT + 16:_HEAP_ITEMS_AT + 24] = \
+                body[_HEAP_ITEMS_AT:_HEAP_ITEMS_AT + 8]
+            return body
+        with pytest.raises(CodecError, match="twice"):
+            DeltaDecoder().decode(self.hostile(mutate))
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(CodecError, match="trailing"):
+            DeltaDecoder().decode(self.hostile(lambda body: body + b"\0"))
 
     def test_zlib_bomb_bounded(self):
         # 128 MiB of zeros compresses tiny; decompression must stop at
@@ -278,21 +196,17 @@ class TestHostileDeltas:
         bomb = zlib.compress(b"\x00" * (128 * 1024 * 1024), 9)
         header = _HEADER.pack(b"UMF1", FRAME_FULL, 1, 0, NO_BASE,
                               len(bomb), zlib.crc32(bomb) & 0xFFFFFFFF)
-        with pytest.raises(CodecError):
+        with pytest.raises(CodecError, match="limit"):
             DeltaDecoder().decode(header + bomb)
 
-    def test_trailing_bytes_rejected(self):
-        def mutate(body, dec):
-            return body + b"\x00"
-        self.assert_rejected_cleanly(mutate)
+    def test_incomplete_zlib_stream_rejected(self):
+        frame = DeltaEncoder().encode(fill(factory()))
+        payload = frame[_HEADER.size:]
+        for bad in (payload[:-4], payload + b"\0"):
+            with pytest.raises(CodecError, match="zlib"):
+                DeltaDecoder().decode(reframe(frame, body=bad))
 
-    def test_recovery_after_reject_via_full_repoll(self):
-        dec, corrupt, _ = self.hostile(
-            lambda body, dec: body + b"\x00")
-        with pytest.raises(CodecError):
-            dec.decode(corrupt)
-        dec.reset()
-        enc = DeltaEncoder()
-        sketch = fill(factory(), seed=123)
-        got = dec.decode(enc.encode(sketch, base_epoch=NO_BASE))
-        assert_equal_state(sketch, got)
+    def test_type_2_frame_rejected(self):
+        frame = DeltaEncoder().encode(fill(factory()))
+        with pytest.raises(CodecError, match="unknown codec frame type 2"):
+            DeltaDecoder().decode(reframe(frame, ftype=2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, IncompatibleSketchError
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.network.faults import SimLink, SimulatedSwitch, zipf_keys
 from repro.network.hierarchy import (
     ROOT,
@@ -161,12 +162,20 @@ class TestHealthyTree:
         report = net.epoch()
         assert report.results["cardinality"]["distinct"] > 0
 
-    def test_transfer_raw_forces_full_frames(self):
-        net = Net(n=6, fanout=3, transfer="raw")
-        for _ in range(3):
-            net.feed()
-            cov = net.epoch().results["coverage"]
-            assert cov["frames_delta"] == 0
+    @pytest.mark.parametrize("transfer", ["delta", "raw"])
+    def test_every_frame_is_full(self, transfer):
+        """Either transfer mode ships full frames only: 6 leaf frames
+        and 2 rack uplinks per epoch, each decoded as a full frame."""
+        with use_registry(MetricsRegistry()) as registry:
+            net = Net(n=6, fanout=3, transfer=transfer)
+            for _ in range(3):
+                net.feed()
+                cov = net.epoch().results["coverage"]
+                assert cov["frames_full"] == 8
+                assert "frames_delta" not in cov
+            decoded = registry.get("univmon_codec_frames_decoded_total",
+                                   kind="full")
+            assert decoded.value == 24
 
 
 class TestDegradation:
@@ -286,8 +295,8 @@ class TestRecovery:
         assert cov["coverage"] == 1.0
 
     def test_reparenting_degrades_codec_to_full_then_recovers(self):
-        # While adopted, a leaf talks to a collector with no decoder
-        # history -> full frames; nothing is lost either way.
+        # While adopted, a leaf reports to a stand-in collector; nothing
+        # is lost either way.
         net = Net()
         net.feed()
         net.epoch()
@@ -318,7 +327,7 @@ class TestDeterminism:
                 cov = net.epoch().results["coverage"]
                 out.append((cov["coverage"], cov["bytes_wire"],
                             tuple(cov["missing_switches"]),
-                            cov["frames_full"], cov["frames_delta"]))
+                            cov["frames_full"]))
             return out
         assert run() == run()
 
