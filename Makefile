@@ -124,11 +124,13 @@ bench-network:
 	$(PYTHON) benchmarks/collect_results.py
 
 # Serial-vs-pooled crossover sweep on the persistent shard worker pool:
-# one warm pool per worker count, swept across stream sizes, with the
-# by_workers crossover curve recorded into BENCH_throughput.json and
-# spliced into EXPERIMENTS.md by collect_results.py. The full 1M-10M
-# sweep and the >= 2x floor only engage on >= 4-core hosts; smaller
-# hosts record a reduced curve (and the floor test skips cleanly).
+# one warm pool per worker count (ShardWorkerPool.run_epoch, what
+# process_trace(workers=k) runs) against one serial update_array per
+# stream, swept across stream sizes, with the by_workers crossover curve
+# recorded into BENCH_throughput.json and spliced into EXPERIMENTS.md by
+# collect_results.py. The full 1M-10M sweep and the >= 2x floor only
+# engage on >= 4-core hosts; smaller hosts record a reduced curve (and
+# the floor test skips cleanly).
 bench-parallel:
 	PYTHONPATH=src:$(PYTHONPATH) \
 	$(PYTHON) -m pytest benchmarks/bench_throughput.py -q -s \
@@ -136,7 +138,7 @@ bench-parallel:
 	$(PYTHON) benchmarks/collect_results.py
 
 # Ingest-path smoke: asserts the bulk-update speedup floors over the
-# np.add.at baseline, the BatchIngest rates, the sharded-ingest
+# np.add.at baseline, the BatchIngest rates, the worker-pool
 # exactness sweep, and the pool crossover curve (plus the >= 2x floors
 # on >= 4-core hosts), and refreshes
 # benchmarks/results/BENCH_throughput.json. Runs the remote-collection
@@ -162,8 +164,8 @@ bench-smoke: test-network test-network-scale test-acceptance \
 	    benchmarks/bench_network_scale.py \
 	    benchmarks/bench_scenarios.py \
 	    benchmarks/bench_detect.py -q -s \
-	    -k "speedup or batch_ingest or crossover or matches or snapshot \
-	        or bytes_on_wire or merge_time or cumulative or scenario_ingest \
+	    -k "speedup or batch_ingest or workers_sweep or crossover or matches \
+	        or snapshot or bytes_on_wire or merge_time or scenario_ingest \
 	        or rule_eval"
 	REPRO_BENCH_QUICK=1 PYTHONPATH=src:$(PYTHONPATH) \
 	$(PYTHON) -m pytest benchmarks/bench_service.py -q -s
@@ -182,7 +184,8 @@ results:
 	$(PYTHON) benchmarks/collect_results.py
 
 examples:
-	for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex; done
+	for ex in examples/*.py; do echo "== $$ex"; \
+	    PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) $$ex || exit 1; done
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \

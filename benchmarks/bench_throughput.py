@@ -10,9 +10,11 @@ rewrite against verbatim copies of the original ``np.add.at`` bulk
 path (sketches constructed *outside* the timed region in both cases)
 and enforce the release floors: >= 3x for ``CountSketch.update_array``
 and >= 2x for ``UniversalSketch.update_array``.  ``test_sharded_crossover``
-sweeps serial vs pooled sharded ingest across stream sizes to locate the
-point where the persistent worker pool overtakes one busy core.  Results
-are written to ``benchmarks/results/BENCH_throughput.json``.
+sweeps serial ingest (one ``update_array`` per stream, what
+``process_trace(workers=1)`` runs) against ``ShardWorkerPool.run_epoch``
+(what ``process_trace(workers=k)`` runs) across stream sizes to locate
+the point where the persistent worker pool overtakes one busy core.
+Results are written to ``benchmarks/results/BENCH_throughput.json``.
 """
 
 import json
@@ -189,43 +191,68 @@ def test_batch_ingest_throughput(bench_trace):
     }
 
 
-def test_batch_ingest_workers_sweep(keys):
-    """Sharded multi-process ingest: exactness check + throughput sweep.
+def _universal():
+    return UniversalSketch(levels=8, rows=5, width=2048, heap_size=64, seed=1)
 
-    Every worker count must reproduce the serial level counters bit for
-    bit (sketch linearity).  Each point records two rates: the first
-    ingest (which pays the one-time pool fork + slab allocation) and a
-    second ingest on the now-warm pool — the steady-state rate every
-    later epoch sees.
+
+def _timed_pps(fn, packets):
+    """``(fn(), packets per second of that one call)``."""
+    t0 = time.perf_counter()
+    out = fn()
+    return out, packets / (time.perf_counter() - t0)
+
+
+def _serial_ingest(stream):
+    """The serial baseline: one ``update_array`` of the whole stream on a
+    fresh sketch — exactly what ``process_trace(workers=1)`` runs."""
+    sketch = _universal()
+    _, pps = _timed_pps(lambda: sketch.update_array(stream), len(stream))
+    return sketch, pps
+
+
+def _pooled_ingest(pool, stream):
+    """One epoch of ``stream`` through ``pool`` — exactly what
+    ``process_trace(workers=pool.workers)`` runs."""
+    sketch = _universal()
+    return _timed_pps(lambda: pool.run_epoch(sketch, stream), len(stream))
+
+
+def _assert_counters_match(serial, merged):
+    for ls, lp in zip(serial.levels, merged.levels):
+        assert np.array_equal(ls.sketch.table, lp.sketch.table)
+        assert ls.packets == lp.packets
+        assert ls.weight == lp.weight
+
+
+def test_pool_workers_sweep(keys):
+    """Pooled ingest of the bench trace: exactness check + rate sweep.
+
+    ``workers=1`` is the serial path; 2 and 4 workers run one epoch on
+    a :class:`ShardWorkerPool`.  Every pooled epoch must reproduce the
+    serial level counters bit for bit (sketch linearity).  Each point
+    records two rates: the first epoch (for a pool, it pays the one-time
+    fork + slab allocation) and a second one on the now-warm pool — the
+    steady-state rate every later epoch sees.
     """
-    from repro.dataplane.parallel import ShardedIngest, \
+    import os
+    from repro.dataplane.parallel import ShardWorkerPool, \
         shared_memory_available
 
-    def factory():
-        return UniversalSketch(levels=8, rows=5, width=2048, heap_size=64,
-                               seed=1)
-
-    serial = factory()
-    serial.update_array(keys)
-    sweep = {}
-    for workers in (1, 2, 4):
-        with ShardedIngest(factory, workers=workers,
-                           chunk_size=8192) as ingest:
-            report = ingest.ingest_keys(keys)  # cold: forks the pool
-            warm = ingest.ingest_keys(keys)    # warm: pool reused
-        for merged in (report.sketch, warm.sketch):
-            for ls, lp in zip(serial.levels, merged.levels):
-                assert np.array_equal(ls.sketch.table, lp.sketch.table)
-                assert ls.packets == lp.packets
-                assert ls.weight == lp.weight
-        sweep[str(workers)] = {
-            "packets_per_second": round(report.packets_per_second),
-            "warm_packets_per_second": round(warm.packets_per_second),
-            "parallel": report.parallel,
-            "merge_ms": round(report.merge_seconds * 1e3, 4),
-            "fallback_reason": report.fallback_reason,
-        }
-    import os
+    serial, cold = _serial_ingest(keys)
+    _, warm = _serial_ingest(keys)
+    sweep = {"1": {"packets_per_second": round(cold),
+                   "warm_packets_per_second": round(warm)}}
+    for workers in (2, 4) if shared_memory_available() else ():
+        pool = ShardWorkerPool(workers=workers)
+        try:
+            first, cold = _pooled_ingest(pool, keys)  # forks the pool
+            second, warm = _pooled_ingest(pool, keys)  # pool reused
+        finally:
+            pool.close()
+        for merged in (first, second):
+            _assert_counters_match(serial, merged)
+        sweep[str(workers)] = {"packets_per_second": round(cold),
+                               "warm_packets_per_second": round(warm)}
     _RESULTS["sharded_ingest"] = {
         "packets": int(len(keys)),
         "cpus": os.cpu_count(),
@@ -237,7 +264,7 @@ def test_batch_ingest_workers_sweep(keys):
 def test_speedup_sharded_ingest(bench_trace):
     """>= 2x serial pps with a warm 4-worker pool — needs >= 4 cores.
 
-    The driver is warmed with one throwaway epoch before timing so the
+    The pool is warmed with one throwaway epoch before timing so the
     floor measures the steady state the persistent pool exists for (hot
     workers, slab already mapped), not the one-time fork cost.  On
     smaller hosts the process pool cannot beat one busy core, so the
@@ -245,7 +272,7 @@ def test_speedup_sharded_ingest(bench_trace):
     of producing a meaningless failure.
     """
     import os
-    from repro.dataplane.parallel import ShardedIngest, \
+    from repro.dataplane.parallel import ShardWorkerPool, \
         shared_memory_available
 
     cpus = os.cpu_count() or 1
@@ -262,21 +289,16 @@ def test_speedup_sharded_ingest(bench_trace):
     big = gen.integers(0, 1 << 20,
                        2_000_000 if quick else 10_000_000).astype(np.uint64)
 
-    def factory():
-        return UniversalSketch(levels=8, rows=5, width=2048, heap_size=64,
-                               seed=1)
-
-    serial = BatchIngest(factory(), chunk_size=65_536).ingest_keys(big)
-    with ShardedIngest(factory, workers=4, chunk_size=65_536,
-                       start_method="fork") as driver:
-        driver.ingest_keys(big[:200_000])  # fork workers, map the slab
-        sharded = driver.ingest_keys(big)  # steady-state epoch
-    speedup = sharded.packets_per_second / serial.packets_per_second
+    _, serial_pps = _serial_ingest(big)
+    with ShardWorkerPool(workers=4, start_method="fork") as pool:
+        _pooled_ingest(pool, big[:200_000])  # warm the workers
+        _, sharded_pps = _pooled_ingest(pool, big)  # steady-state epoch
+    speedup = sharded_pps / serial_pps
     _RESULTS["sharded_speedup"] = {
         "packets": int(len(big)),
         "cpus": cpus,
-        "serial_mpps": round(serial.packets_per_second / 1e6, 2),
-        "sharded_mpps": round(sharded.packets_per_second / 1e6, 2),
+        "serial_mpps": round(serial_pps / 1e6, 2),
+        "sharded_mpps": round(sharded_pps / 1e6, 2),
         "speedup": round(speedup, 2),
     }
     assert speedup >= 2.0, (
@@ -287,17 +309,18 @@ def test_speedup_sharded_ingest(bench_trace):
 def test_sharded_crossover():
     """Serial-vs-pooled crossover curve: pps by stream size and workers.
 
-    Every sweep point below reuses one persistent :class:`ShardedIngest`
+    Every sweep point below reuses one persistent :class:`ShardWorkerPool`
     per worker count (workers forked once, slab allocated once), so the
     recorded rates measure the per-epoch marginal cost of sharding — the
-    quantity that decides where the crossover sits.  On >= 4-core hosts
-    the sweep runs at 1M-10M packets and enforces the >= 2x floor at the
+    quantity that decides where the crossover sits.  The serial point is
+    one ``update_array`` of the whole stream.  On >= 4-core hosts the
+    sweep runs at 1M-10M packets and enforces the >= 2x floor at the
     largest size; smaller hosts record a scaled-down curve with no floor
     so BENCH_throughput.json always carries crossover data.  Merged
     counters are checked bit-for-bit against serial at every point.
     """
     import os
-    from repro.dataplane.parallel import ShardedIngest, \
+    from repro.dataplane.parallel import ShardWorkerPool, \
         shared_memory_available
 
     if not shared_memory_available():
@@ -316,42 +339,28 @@ def test_sharded_crossover():
         sizes = (300_000, 1_000_000)
         worker_counts = (2,)
 
-    def factory():
-        return UniversalSketch(levels=8, rows=5, width=2048, heap_size=64,
-                               seed=1)
-
-    chunk = 65_536
     gen = np.random.default_rng(7)
-    drivers = {w: ShardedIngest(factory, workers=w, chunk_size=chunk)
-               for w in worker_counts}
-    warmup = gen.integers(0, 1 << 20, 100_000).astype(np.uint64)
-    for driver in drivers.values():
-        driver.ingest_keys(warmup)  # fork workers, map the slab
-
+    pools = {w: ShardWorkerPool(workers=w) for w in worker_counts}
     by_size = {}
     try:
+        warmup = gen.integers(0, 1 << 20, 100_000).astype(np.uint64)
+        for pool in pools.values():
+            _pooled_ingest(pool, warmup)  # fork workers, map the slab
         for size in sizes:
             stream = gen.integers(0, 1 << 20, size).astype(np.uint64)
-            serial_sketch = factory()
-            serial = BatchIngest(serial_sketch,
-                                 chunk_size=chunk).ingest_keys(stream)
-            point = {"serial_pps": round(serial.packets_per_second),
-                     "by_workers": {}}
-            for workers, driver in drivers.items():
-                report = driver.ingest_keys(stream)
-                assert report.parallel, report.fallback_reason
-                for ls, lp in zip(serial_sketch.levels,
-                                  report.sketch.levels):
-                    assert np.array_equal(ls.sketch.table, lp.sketch.table)
+            serial, serial_pps = _serial_ingest(stream)
+            point = {"serial_pps": round(serial_pps), "by_workers": {}}
+            for workers, pool in pools.items():
+                merged, pps = _pooled_ingest(pool, stream)
+                _assert_counters_match(serial, merged)
                 point["by_workers"][str(workers)] = {
-                    "packets_per_second": round(report.packets_per_second),
-                    "speedup": round(report.packets_per_second
-                                     / serial.packets_per_second, 2),
+                    "packets_per_second": round(pps),
+                    "speedup": round(pps / serial_pps, 2),
                 }
             by_size[str(size)] = point
     finally:
-        for driver in drivers.values():
-            driver.close()
+        for pool in pools.values():
+            pool.close()
 
     crossover = next(
         (size for size in sizes
@@ -361,7 +370,6 @@ def test_sharded_crossover():
     _RESULTS["sharded_crossover"] = {
         "cpus": cpus,
         "full_sweep": full,
-        "chunk_size": chunk,
         "by_size": by_size,
         "crossover_packets": crossover,
     }

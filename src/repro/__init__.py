@@ -57,7 +57,7 @@ from repro.dataplane import (
     Trace,
     generate_trace,
 )
-from repro.network import DistributedMonitor, NetworkTopology, ZoomMonitor
+from repro.network import NetworkTopology, ZoomMonitor
 
 __all__ = [
     "__version__",
@@ -95,6 +95,5 @@ __all__ = [
     "MonitoredSwitch",
     # network
     "NetworkTopology",
-    "DistributedMonitor",
     "ZoomMonitor",
 ]

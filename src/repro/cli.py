@@ -366,6 +366,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sketch_factory(memory_kb: int):
+    """The one sketch every subcommand builds: ``memory_kb`` KiB at 12
+    levels, 5 rows, heap 64 and seed 1 (one seed, so any two sketches
+    the CLI builds merge and subtract)."""
+    from repro.core.universal import UniversalSketch
+
+    budget = memory_kb * 1024
+    return lambda: UniversalSketch.for_memory_budget(
+        budget, levels=12, rows=5, heap_size=64, seed=1)
+
+
 def _load_trace(path: str):
     from repro.dataplane.csvtrace import load_csv
     from repro.dataplane.pcap import load_pcap
@@ -418,7 +429,6 @@ def _run_monitor(args: argparse.Namespace) -> int:
                                     Controller, DDoSApp, EntropyApp,
                                     HeavyHitterApp)
     from repro.dataplane.keys import KEY_FUNCTIONS
-    from repro.core.universal import UniversalSketch
 
     if (args.trace is None) == (args.scenario is None):
         print("run needs exactly one input: --trace PATH or "
@@ -437,9 +447,7 @@ def _run_monitor(args: argparse.Namespace) -> int:
     else:
         trace = _load_trace(args.trace)
     key_function = KEY_FUNCTIONS[args.key]
-    budget = args.memory_kb * 1024
-    factory = lambda: UniversalSketch.for_memory_budget(  # noqa: E731
-        budget, levels=12, rows=5, heap_size=64, seed=1)
+    factory = _sketch_factory(args.memory_kb)
     controller = Controller(sketch_factory=factory,
                             key_function=key_function,
                             epoch_seconds=args.epoch,
@@ -565,16 +573,10 @@ def _cmd_agent(args: argparse.Namespace) -> int:
     from repro.controlplane.rpc import SwitchAgent
     from repro.dataplane.keys import src_ip_key
     from repro.dataplane.switch import MonitoredSwitch
-    from repro.core.universal import UniversalSketch
 
     trace = _load_trace(args.trace)
-    budget = args.memory_kb * 1024
     switch = MonitoredSwitch("agent")
-    switch.attach(
-        "univmon",
-        lambda: UniversalSketch.for_memory_budget(
-            budget, levels=12, rows=5, heap_size=64, seed=1),
-        src_ip_key)
+    switch.attach("univmon", _sketch_factory(args.memory_kb), src_ip_key)
     agent = SwitchAgent(switch, host=args.host, port=args.port).start()
     host, port = agent.address
     print(f"switch agent on {host}:{port}; replaying "
@@ -638,7 +640,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.controlplane.controller import Controller
     from repro.dataplane.keys import KEY_FUNCTIONS
     from repro.dataplane.trace import SyntheticTraceConfig, generate_trace
-    from repro.core.universal import UniversalSketch
 
     if args.trace is not None:
         trace = _load_trace(args.trace)
@@ -646,9 +647,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         trace = generate_trace(SyntheticTraceConfig(
             packets=args.packets, flows=args.flows, duration=args.duration,
             seed=args.seed))
-    budget = args.memory_kb * 1024
-    factory = lambda: UniversalSketch.for_memory_budget(  # noqa: E731
-        budget, levels=12, rows=5, heap_size=64, seed=1)
+    factory = _sketch_factory(args.memory_kb)
     registry = MetricsRegistry()
     with use_registry(registry):
         controller = Controller(sketch_factory=factory,
@@ -692,16 +691,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.trace is not None:
         from repro.dataplane.keys import KEY_FUNCTIONS
         from repro.dataplane.switch import MonitoredSwitch
-        from repro.core.universal import UniversalSketch
 
         trace = _load_trace(args.trace)
-        budget = args.memory_kb * 1024
         switch = MonitoredSwitch("query")
-        switch.attach(
-            "univmon",
-            lambda: UniversalSketch.for_memory_budget(
-                budget, levels=12, rows=5, heap_size=64, seed=1),
-            KEY_FUNCTIONS[args.key])
+        switch.attach("univmon", _sketch_factory(args.memory_kb),
+                      KEY_FUNCTIONS[args.key])
         switch.process_trace(trace)
         sketch = switch.poll("univmon")
         show_ip = args.key in ("src_ip", "dst_ip")
@@ -749,7 +743,6 @@ def _detect_monitor(args: argparse.Namespace) -> int:
     from repro.dataplane.keys import KEY_FUNCTIONS
     from repro.dataplane.packet import format_ipv4
     from repro.detect import DetectionPipeline, default_rules, load_rules
-    from repro.core.universal import UniversalSketch
 
     if (args.trace is None) == (args.scenario is None):
         print("detect needs exactly one input: --trace PATH or "
@@ -776,9 +769,7 @@ def _detect_monitor(args: argparse.Namespace) -> int:
     except (ConfigurationError, OSError, ValueError) as exc:
         print(f"bad rules: {exc}", file=sys.stderr)
         return 2
-    budget = args.memory_kb * 1024
-    factory = lambda: UniversalSketch.for_memory_budget(  # noqa: E731
-        budget, levels=12, rows=5, heap_size=64, seed=1)
+    factory = _sketch_factory(args.memory_kb)
     controller = Controller(sketch_factory=factory,
                             key_function=KEY_FUNCTIONS[args.key],
                             epoch_seconds=args.epoch)
@@ -848,7 +839,6 @@ def _coordinate_loop(args: argparse.Namespace) -> int:
     from repro.network.health import HealthTracker
     from repro.network.hierarchy import (
         AgentLink, HierarchicalCoordinator, ResiliencePolicy)
-    from repro.core.universal import UniversalSketch
 
     agents = {}
     for spec in args.agents:
@@ -860,9 +850,7 @@ def _coordinate_loop(args: argparse.Namespace) -> int:
             return 2
         agents[name] = (host, int(port))
 
-    budget = args.memory_kb * 1024
-    factory = lambda: UniversalSketch.for_memory_budget(  # noqa: E731
-        budget, levels=12, rows=5, heap_size=64, seed=1)
+    factory = _sketch_factory(args.memory_kb)
     retry = _retry_policy(args)
     health = HealthTracker(agents, suspect_after=1,
                            fail_after=args.fail_after,
@@ -930,7 +918,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs import MetricsRegistry, use_registry
     from repro.dataplane.keys import KEY_FUNCTIONS
     from repro.service import MonitoringService, ServiceConfig
-    from repro.core.universal import UniversalSketch
 
     if (args.trace is None) == (args.scenario is None):
         print("serve needs exactly one input: --trace PATH or "
@@ -965,9 +952,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"{exc}", file=sys.stderr)
         return 2
-    budget = args.memory_kb * 1024
-    factory = lambda: UniversalSketch.for_memory_budget(  # noqa: E731
-        budget, levels=12, rows=5, heap_size=64, seed=1)
+    factory = _sketch_factory(args.memory_kb)
 
     # The service serves /metrics, so it always runs instrumented.
     with use_registry(MetricsRegistry()):

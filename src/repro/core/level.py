@@ -18,25 +18,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.sketches.base import UpdateCost
+from repro.sketches.base import UpdateCost, check_batch
 from repro.sketches.countsketch import CountSketch
 from repro.sketches.topk import TopK
-
-
-def check_batch(keys, weights=None) -> np.ndarray:
-    """``keys`` as a 1-D ``uint64`` array, after checking the batch is
-    well formed: raises :class:`~repro.errors.ConfigurationError` when
-    the keys are not 1-D or ``weights`` is not one weight per key."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    if keys.ndim != 1:
-        raise ConfigurationError(
-            f"keys must be a 1-D array, got shape {keys.shape}")
-    if weights is not None and np.shape(weights) != keys.shape:
-        raise ConfigurationError(
-            f"weights must be one per key: got shape {np.shape(weights)} "
-            f"for {len(keys)} keys")
-    return keys
 
 
 def aggregate(keys: np.ndarray, weights: Optional[np.ndarray] = None
@@ -95,7 +79,7 @@ class SketchLevel:
         """Bulk path over raw packets: :func:`aggregate` the batch, then
         :meth:`update_distinct`.  Raises
         :class:`~repro.errors.ConfigurationError` for a malformed batch
-        (see :func:`check_batch`)."""
+        (see :func:`~repro.sketches.base.check_batch`)."""
         keys = check_batch(keys, weights)
         if len(keys):
             self.update_distinct(*aggregate(keys, weights))

@@ -29,8 +29,8 @@ import numpy as np
 from repro.errors import ConfigurationError, IncompatibleSketchError
 from repro.hashing.sampling import LevelSampler
 from repro.obs.metrics import get_registry
-from repro.core.level import SketchLevel, aggregate, check_batch
-from repro.sketches.base import Sketch, UpdateCost
+from repro.core.level import SketchLevel, aggregate
+from repro.sketches.base import Sketch, UpdateCost, check_batch
 from repro.sketches.topk import TopK
 
 
@@ -146,8 +146,8 @@ class UniversalSketch(Sketch):
         packets and weights equal a per-packet bulk update of the same
         batch; the cost follows distinct keys, not packets.
 
-        Raises :class:`~repro.errors.ConfigurationError` when ``keys``
-        is not 1-D or ``weights`` is not one weight per key.
+        Raises :class:`~repro.errors.ConfigurationError` for a malformed
+        batch (see :func:`~repro.sketches.base.check_batch`).
         """
         keys = check_batch(keys, weights)
         n = len(keys)

@@ -14,9 +14,10 @@ the CAIDA backbone trace and the router the sketches run on:
 - :mod:`~repro.dataplane.switch` — the monitored switch: programs
   (sketch + key function) attached to a packet stream, with memory and
   op-cost accounting.
-- :mod:`~repro.dataplane.parallel` — sharded multi-core ingest: split a
-  key stream across worker processes over shared memory and merge the
-  equal-seed shard sketches back into one (exact, by linearity).
+- :mod:`~repro.dataplane.parallel` — sharded multi-core ingest: the
+  worker pool behind ``process_trace(workers=N)``.  Each worker folds a
+  contiguous slice of every shared-memory batch into an equal-seed
+  sketch, and the shards merge back into one (exact, by linearity).
 - :mod:`~repro.dataplane.scenarios` — workload scenario library:
   empirical flow-size CDF mixes (websearch / data-mining) and seeded
   adversarial scenarios (DDoS ramp, flash crowd, port scan, heavy-key
@@ -33,13 +34,7 @@ from repro.dataplane.keys import (
     src_prefix_key,
 )
 from repro.dataplane.netflow import SampledFlowTable
-from repro.dataplane.parallel import (
-    ShardedIngest,
-    ShardedIngestReport,
-    ShardWorkerPool,
-    shard_of,
-    shared_memory_available,
-)
+from repro.dataplane.parallel import ShardWorkerPool, shared_memory_available
 from repro.dataplane.packet import FiveTuple, Packet, format_ipv4, parse_ipv4
 from repro.dataplane.scenarios import (
     DATAMINING_CDF,
@@ -83,10 +78,7 @@ __all__ = [
     "BatchIngest",
     "IngestReport",
     "LoopingChunkSource",
-    "ShardedIngest",
-    "ShardedIngestReport",
     "ShardWorkerPool",
-    "shard_of",
     "shared_memory_available",
     "Trace",
     "SyntheticTraceConfig",

@@ -2,59 +2,45 @@
 
 The universal sketch is linear: equal-seed instances built over disjoint
 substreams merge into exactly the sketch of the concatenated stream.
-This module exploits that to scale :class:`BatchIngest` past one core —
-and, since PR 6, to do it at a profit: the original driver spawned N
-processes, allocated a fresh ``SharedMemory`` block, and pickled every
-shard sketch back *per call*, which made 30k-packet runs slower than
-serial ingest.  The redesign amortises all of that:
+:class:`ShardWorkerPool` uses that to spread one epoch's ingest over N
+worker processes, and :meth:`MonitoredSwitch.process_trace
+<repro.dataplane.switch.MonitoredSwitch.process_trace>` with
+``workers > 1`` is its one caller:
 
-- :class:`ShardWorkerPool` — N worker processes spawned **once** that
-  persist across epochs and traces.  Each worker folds its shard of
-  every batch into an epoch-local equal-seed
-  :class:`~repro.core.universal.UniversalSketch` via the vectorised
-  ``update_array`` path and ships bytes only when the driver seals the
-  epoch, so steady-state cost is pure ``update_array`` work.
-- A reusable **double-buffered slab**: two shared-memory blocks sized
-  once (keys + weights regions), refilled batch by batch — the driver
-  copies the next batch into one slab while the workers chew the other,
-  and no key array ever crosses a pipe or is reallocated per run.
-- ``seal()`` ships each worker's sealed sketch bytes to the driver,
-  which merges them in one n-ary merge; the level counters are
-  bit-identical to serial ingest of the same stream (partitioning only
-  reorders the int64 additions).
+- The N workers are spawned **once** and persist across epochs, traces
+  and sketch geometries (geometry and seed travel as plain parameters
+  at the start of each epoch, so the protocol is spawn-safe).
+- The stream crosses into the workers through a **double-buffered
+  slab**: two shared-memory blocks sized once (keys + weights regions).
+  The driver copies the next batch into one slab while the workers fold
+  the other, and no key array crosses a pipe.  The slab bounds a
+  worker's working set, whatever the epoch's length.
+- Each worker keeps one epoch-local equal-seed
+  :class:`~repro.core.universal.UniversalSketch` and folds its
+  contiguous slice of every slab batch into it with one
+  ``update_array`` call, the same call serial ingest makes.
+- At seal every worker ships its sketch's bytes once; the driver checks
+  packet conservation and returns ``sketch.merge(*shards)``, one n-ary
+  merge.  Level counters, packets and weights are bit-identical to one
+  serial ``update_array`` of the stream (partitioning only reorders the
+  int64 additions).
 
-:class:`ShardedIngest` keeps its PR-4 surface (same constructor, same
-``ingest_keys`` -> :class:`ShardedIngestReport`) but now lazily owns a
-pool that it reuses across calls; pass ``pool=`` to share one pool
-between drivers (the switch does this across programs and epochs).
-
-Two shard policies:
-
-- ``"range"`` (default): worker ``i`` reads the contiguous slice
-  ``batch[m*i//N : m*(i+1)//N]`` straight out of the slab — zero scan,
-  zero copy, best throughput;
-- ``"hash"``: worker ``i`` takes the keys whose mixed hash lands in
-  residue ``i`` — per-key determinism (a flow always lands on the same
-  shard), the policy a keyed NIC RSS / eBPF steering stage would apply.
-
-The driver degrades gracefully to in-process :class:`BatchIngest` when
-``workers == 1``, the stream is empty, or the platform lacks POSIX
-shared memory.  Failure semantics are exact-or-nothing: a worker that
-dies (any exit code — a clean ``exit(0)`` without a result is just as
-fatal), errors, or stalls surfaces as a typed
-:class:`~repro.errors.ShardFailureError`, the pool tears itself down
-(and restarts transparently on the next run), and partial shards are
+Failure semantics are exact-or-nothing: a worker that dies (any exit
+code — a clean ``exit(0)`` without a result is just as fatal), errors,
+or stalls, and a seal whose shards miss packets, surface as a typed
+:class:`~repro.errors.ShardFailureError`.  The pool tears itself down
+(and restarts transparently on the next epoch), and partial shards are
 never merged — that would silently undercount everything.
 
-Observability (driver-side, through the ambient registry): the PR-4
-``univmon_shard_*`` families are retained (per-shard series are cleared
-at the start of every run so a narrow run never exports stale shard
-labels from a wider one), plus pool lifecycle metrics:
-``univmon_pool_starts_total``, ``univmon_pool_spawns_total``,
-``univmon_pool_stops_total``, ``univmon_pool_workers``,
-``univmon_pool_slab_bytes``, ``univmon_pool_batches_total``,
-``univmon_pool_slab_refills_total``, ``univmon_pool_epochs_total``,
-``univmon_pool_slab_wait_seconds`` and ``univmon_pool_seal_seconds``.
+Observability (driver-side, through the ambient registry): the
+``univmon_shard_*`` families (per-shard series are cleared every epoch
+so a narrow run never exports stale shard labels from a wider one) and
+the pool lifecycle: ``univmon_pool_starts_total``,
+``univmon_pool_spawns_total``, ``univmon_pool_stops_total``,
+``univmon_pool_workers``, ``univmon_pool_slab_bytes``,
+``univmon_pool_batches_total``, ``univmon_pool_slab_refills_total``,
+``univmon_pool_epochs_total``, ``univmon_pool_slab_wait_seconds`` and
+``univmon_pool_seal_seconds``.
 """
 
 from __future__ import annotations
@@ -62,20 +48,14 @@ from __future__ import annotations
 import os
 import queue as _queue
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ShardFailureError
 from repro.obs.metrics import get_registry
 from repro.core.universal import UniversalSketch
-from repro.dataplane.replay import BatchIngest, IngestReport
-
-#: Shard policies: contiguous slices vs hash-of-key residues.
-RANGE = "range"
-HASH = "hash"
-_POLICIES = (RANGE, HASH)
+from repro.sketches.base import check_batch
 
 #: Packets per slab buffer.  Each slab holds a uint64 key region plus an
 #: int64 weight region (16 bytes/packet); two slabs per pool.  256k
@@ -103,26 +83,6 @@ def shared_memory_available() -> bool:
     return _SHM_AVAILABLE
 
 
-def shard_of(keys: np.ndarray, workers: int) -> np.ndarray:
-    """The hash-policy shard of every key: ``mix64(key) % workers``.
-
-    A raw ``key % workers`` would send sequential IP blocks to one
-    shard; the splitmix64 finaliser spreads any key structure evenly
-    while staying a pure (deterministic) function of the key.
-    """
-    x = np.asarray(keys, dtype=np.uint64).copy()
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E9B5)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return (x % np.uint64(workers)).astype(np.int64)
-
-
-def _range_bounds(n: int, workers: int) -> List[int]:
-    return [n * i // workers for i in range(workers + 1)]
-
-
 def _sketch_params(sketch: UniversalSketch) -> Dict[str, int]:
     """The constructor arguments workers rebuild their sketch from
     (geometry + seed travel instead of a pickled factory, so lambdas
@@ -132,40 +92,29 @@ def _sketch_params(sketch: UniversalSketch) -> Dict[str, int]:
                 seed=sketch.seed, counter_bytes=sketch.counter_bytes)
 
 
-def _ingest_shard(params: Dict[str, int], keys: np.ndarray,
-                  weights: Optional[np.ndarray], shard: int, workers: int,
-                  policy: str, chunk_size: int
-                  ) -> Tuple[UniversalSketch, IngestReport]:
-    """Fold shard ``shard`` of one batch into a fresh sketch.
+def _fold_slice(sketch: UniversalSketch, keys: np.ndarray,
+                weights: Optional[np.ndarray], shard: int,
+                workers: int) -> None:
+    """Fold worker ``shard``'s contiguous slice of one slab batch into
+    its epoch-local ``sketch``.
 
     Runs inside the worker process; ``keys``/``weights`` are views over
-    the slab (range slices stay zero-copy, hash masks copy only the
-    shard's own keys).  The worker merges the returned sketch into its
-    epoch-local accumulator.
+    the whole batch in the slab, so the slice is zero-copy.
     """
-    if policy == HASH:
-        mask = shard_of(keys, workers) == shard
-        keys = keys[mask]
-        weights = None if weights is None else weights[mask]
-    else:
-        bounds = _range_bounds(len(keys), workers)
-        lo, hi = bounds[shard], bounds[shard + 1]
-        keys = keys[lo:hi]
-        weights = None if weights is None else weights[lo:hi]
-    sketch = UniversalSketch(**params)
-    report = BatchIngest(sketch, chunk_size=chunk_size).ingest_keys(
-        keys, weights)
-    return sketch, report
+    n = len(keys)
+    lo, hi = n * shard // workers, n * (shard + 1) // workers
+    sketch.update_array(keys[lo:hi],
+                        None if weights is None else weights[lo:hi])
 
 
 def _worker_entry(task_queue, result_queue, slab_names: List[str],
                   slab_packets: int, shard: int, workers: int) -> None:
     """Pool worker main loop: attach the slabs once, then serve
-    ``batch`` / ``seal`` / ``stop`` commands until shutdown.
+    ``epoch`` / ``batch`` / ``seal`` / ``stop`` commands until shutdown.
 
-    The worker folds every batch's shard into an epoch-local sketch and
-    ships serialized bytes only at seal time — the steady-state cost per
-    batch is one ``update_array`` fold plus a tiny ack message.
+    ``epoch`` starts an empty equal-seed sketch, each ``batch`` folds
+    this worker's slice into it and acks, and ``seal`` ships the
+    sketch's bytes with the time spent folding.
     """
     from multiprocessing import shared_memory
 
@@ -174,10 +123,6 @@ def _worker_entry(task_queue, result_queue, slab_names: List[str],
     slabs = [shared_memory.SharedMemory(name=name) for name in slab_names]
     weight_offset = slab_packets * 8
     sketch = None
-    params = None
-    policy = RANGE
-    chunk_size = 8192
-    packets = chunks = 0
     seconds = 0.0
     keys = weights = None
     try:
@@ -187,49 +132,30 @@ def _worker_entry(task_queue, result_queue, slab_names: List[str],
             if op == "stop":
                 break
             try:
-                if op == "batch":
-                    (_, slab_index, n, has_weights, new_params,
-                     new_policy, new_chunk_size, batch_id) = command
-                    if new_params is not None:  # first batch of an epoch
-                        params = new_params
-                        policy = new_policy
-                        chunk_size = new_chunk_size
-                        sketch = None
-                        packets = chunks = 0
-                        seconds = 0.0
+                if op == "epoch":
+                    sketch = UniversalSketch(**command[1])
+                    seconds = 0.0
+                elif op == "batch":
+                    _, slab_index, n, has_weights, batch_id = command
                     buf = slabs[slab_index].buf
                     keys = np.ndarray((n,), dtype=np.uint64, buffer=buf)
                     weights = np.ndarray(
                         (n,), dtype=np.int64, buffer=buf,
                         offset=weight_offset) if has_weights else None
+                    start = time.perf_counter()
                     try:
-                        batch_sketch, report = _ingest_shard(
-                            params, keys, weights, shard, workers, policy,
-                            chunk_size)
+                        _fold_slice(sketch, keys, weights, shard, workers)
                     finally:
                         # Views into the slab must not outlive the batch:
                         # a mapped buffer with live exports cannot be
                         # released at shutdown.
                         keys = weights = None  # noqa: F841
-                    sketch = batch_sketch if sketch is None \
-                        else sketch.merge(batch_sketch)
-                    packets += report.packets
-                    chunks += report.chunks
-                    seconds += report.seconds
-                    result_queue.put(("batch_done", shard, batch_id,
-                                      report.packets))
+                    seconds += time.perf_counter() - start
+                    result_queue.put(("batch_done", shard, batch_id))
                 elif op == "seal":
-                    epoch_id = command[1]
-                    if sketch is None and params is not None:
-                        sketch = UniversalSketch(**params)
-                    payload = b"" if sketch is None \
-                        else serialization.dumps(sketch)
-                    result_queue.put(("sealed", shard, epoch_id, payload,
-                                      packets, chunks, seconds))
+                    result_queue.put(("sealed", shard, command[1],
+                                      serialization.dumps(sketch), seconds))
                     sketch = None
-                    params = None
-                    packets = chunks = 0
-                    seconds = 0.0
             except BaseException as exc:  # surfaced as ShardFailureError
                 result_queue.put(("error", shard,
                                   f"{type(exc).__name__}: {exc}"))
@@ -243,11 +169,11 @@ class ShardWorkerPool:
     """N persistent worker processes fed through two reusable slabs.
 
     The pool is the amortisation boundary: workers are spawned once and
-    the slabs allocated once, then any number of epochs (and traces) run
-    through them.  Within an epoch the two slabs double-buffer — the
-    driver refills one while the workers chew the other — and
-    :meth:`run_epoch` seals the workers' epoch-local sketches and merges
-    the results.
+    the slabs allocated once, then any number of epochs (and traces, and
+    sketch geometries) run through them.  Within an epoch the two slabs
+    double-buffer — the driver refills one while the workers fold the
+    other — and :meth:`run_epoch` seals the workers' epoch-local
+    sketches and merges them.
 
     Parameters
     ----------
@@ -263,6 +189,8 @@ class ShardWorkerPool:
         Wall-clock budget for any single wait on the workers; a shard
         still silent past it raises :class:`ShardFailureError` (never a
         hang).
+    clock:
+        Timer for the slab-wait histogram.
 
     The pool restarts transparently: any failure tears the workers and
     slabs down, and the next :meth:`run_epoch` (or explicit
@@ -445,30 +373,40 @@ class ShardWorkerPool:
     # the epoch pipeline
     # ------------------------------------------------------------------ #
 
-    def run_epoch(self, params: Dict[str, int], keys: np.ndarray,
-                  weights: Optional[np.ndarray] = None,
-                  policy: str = RANGE, chunk_size: int = 8192
-                  ) -> Tuple[UniversalSketch, Tuple[IngestReport, ...],
-                             float]:
-        """Feed one epoch's key stream through the pool and seal it.
+    def run_epoch(self, sketch: UniversalSketch, keys: np.ndarray,
+                  weights: Optional[np.ndarray] = None) -> UniversalSketch:
+        """``sketch`` plus the stream ``keys`` (optionally ``weights``),
+        folded across the pool; ``sketch`` itself is left unchanged.
 
-        Dispatches the stream slab-batch by slab-batch (double-buffered:
-        the next batch is copied in while workers chew the previous
-        one), seals every worker's epoch-local sketch, verifies packet
-        conservation, and merges the sealed shard sketches in one call.
-        Returns ``(merged sketch, per-shard reports,
-        merge_seconds)``.
+        Starts one equal-seed epoch sketch per worker, dispatches the
+        stream slab-batch by slab-batch (double-buffered: the next batch
+        is copied in while workers fold the previous one), seals every
+        worker, verifies that the shards hold every packet, and returns
+        ``sketch.merge(*shards)``.
+
+        Raises :class:`~repro.errors.ConfigurationError` for a sketch
+        that is not a seeded :class:`UniversalSketch` or a malformed
+        batch (see :func:`~repro.sketches.base.check_batch`), and
+        :class:`~repro.errors.ShardFailureError` when any worker fails.
         """
-        if policy not in _POLICIES:
+        if not isinstance(sketch, UniversalSketch):
             raise ConfigurationError(
-                f"unknown shard policy {policy!r} (want one of {_POLICIES})")
+                "the worker pool shards UniversalSketch ingest only, got "
+                f"{type(sketch).__name__}")
+        if sketch.seed is None:
+            raise ConfigurationError(
+                "sharded ingest needs an explicit sketch seed (equal-seed "
+                "shards are what makes the merge exact)")
+        keys = check_batch(keys, weights)
         self.start()
         reg = get_registry()
         n = len(keys)
         epoch_id = self._epoch_seq
         self._epoch_seq += 1
-        first = True
+        params = _sketch_params(sketch)
         try:
+            for task_queue in self._task_queues:
+                task_queue.put(("epoch", params))
             for lo in range(0, n, self.slab_packets):
                 hi = min(n, lo + self.slab_packets)
                 slab = self._acquire_slab(reg)
@@ -480,15 +418,11 @@ class ShardWorkerPool:
                         self._weight_views[slab][:m] = weights[lo:hi]
                 batch_id = self._batch_seq
                 self._batch_seq += 1
-                message = ("batch", slab, m, weights is not None,
-                           params if first else None,
-                           policy if first else None,
-                           chunk_size if first else None, batch_id)
-                first = False
                 self._slab_pending[slab] = set(range(self.workers))
                 self._slab_batch[slab] = batch_id
                 for task_queue in self._task_queues:
-                    task_queue.put(message)
+                    task_queue.put(("batch", slab, m, weights is not None,
+                                    batch_id))
                 reg.counter("univmon_pool_batches_total",
                             help="slab batches dispatched to the pool").inc()
             sealed = self._seal(epoch_id, reg)
@@ -497,25 +431,42 @@ class ShardWorkerPool:
         except Exception:
             self._teardown()
             raise
-        total = sum(sealed[i][1] for i in range(self.workers))
-        if total != n:
-            self._fail(reg, f"shards processed {total} of {n} packets — "
-                            f"the {policy} partition dropped data")
-        shards = tuple(IngestReport(packets=sealed[i][1],
-                                    chunks=sealed[i][2],
-                                    seconds=sealed[i][3])
-                       for i in range(self.workers))
         from repro.core import serialization
-        merge_start = self._clock()
+        shards = [serialization.loads(sealed[i][0])
+                  for i in range(self.workers)]
+        total = sum(shard.packets for shard in shards)
+        if total != n:
+            self._fail(reg, f"shards folded {total} of {n} packets — "
+                            f"the partition dropped data")
+        self._record_epoch(reg, shards,
+                           [sealed[i][1] for i in range(self.workers)])
         with reg.span("univmon_shard_merge_seconds",
                       help="one n-ary merge of the sealed shard sketches"):
-            first, *rest = (serialization.loads(sealed[i][0])
-                            for i in range(self.workers))
-            merged = first.merge(*rest)
-        merge_seconds = self._clock() - merge_start
+            return sketch.merge(*shards)
+
+    def _record_epoch(self, reg, shards: List[UniversalSketch],
+                      seconds: List[float]) -> None:
         reg.counter("univmon_pool_epochs_total",
                     help="epochs sealed by the pool").inc()
-        return merged, shards, merge_seconds
+        reg.counter("univmon_shard_runs_total",
+                    help="completed sharded-ingest runs").inc()
+        reg.gauge("univmon_shard_workers",
+                  help="worker count of the last sharded-ingest run").set(
+                      self.workers)
+        # Per-shard series reset every run: a 2-worker run after a
+        # 4-worker run must export exactly 2 shard series, not keep the
+        # wider run's stale shard="2"/"3" values alive in scrapes.
+        reg.clear_family("univmon_shard_packets_total")
+        reg.clear_family("univmon_shard_packets_per_second")
+        for index, (shard, busy) in enumerate(zip(shards, seconds)):
+            rate = shard.packets / busy if busy > 0 \
+                else (float("inf") if shard.packets else 0.0)
+            reg.counter("univmon_shard_packets_total",
+                        help="packets folded in per shard",
+                        shard=str(index)).inc(shard.packets)
+            reg.gauge("univmon_shard_packets_per_second",
+                      help="per-shard fold rate of the last run",
+                      shard=str(index)).set(rate)
 
     def _free_slab(self) -> Optional[int]:
         for index, pending in enumerate(self._slab_pending):
@@ -574,14 +525,14 @@ class ShardWorkerPool:
         if kind == "error":
             self._fail(reg, f"shard {item[1]} failed: {item[2]}")
         elif kind == "batch_done":
-            _, shard, batch_id, _packets = item
+            _, shard, batch_id = item
             for index, in_flight in enumerate(self._slab_batch):
                 if in_flight == batch_id:
                     self._slab_pending[index].discard(shard)
         elif kind == "sealed" and sealed is not None:
-            _, shard, sealed_epoch, payload, packets, chunks, seconds = item
+            _, shard, sealed_epoch, payload, seconds = item
             if sealed_epoch == epoch_id:
-                sealed[shard] = (payload, packets, chunks, seconds)
+                sealed[shard] = (payload, seconds)
                 # A sealed reply is the worker's last message of the
                 # epoch: every batch it acked is implicitly complete.
                 for pending in self._slab_pending:
@@ -616,249 +567,3 @@ class ShardWorkerPool:
                     help="sharded-ingest runs that failed").inc()
         self._teardown()
         raise ShardFailureError(message)
-
-
-@dataclass(frozen=True)
-class ShardedIngestReport:
-    """Outcome of one :meth:`ShardedIngest.ingest_keys` run."""
-
-    sketch: UniversalSketch
-    packets: int
-    workers: int
-    policy: str
-    parallel: bool
-    seconds: float
-    merge_seconds: float
-    shards: Tuple[IngestReport, ...]
-    fallback_reason: Optional[str] = None
-
-    @property
-    def packets_per_second(self) -> float:
-        if self.seconds <= 0:
-            return float("inf") if self.packets else 0.0
-        return self.packets / self.seconds
-
-
-class ShardedIngest:
-    """Split a key stream across pooled worker processes and merge.
-
-    Parameters
-    ----------
-    sketch_factory:
-        Produces the per-shard :class:`UniversalSketch`.  Called once in
-        the driver to read off geometry + seed (workers rebuild from
-        those, so the factory itself never crosses a process boundary);
-        an explicit seed is required whenever ``workers > 1`` — seedless
-        shards could not merge.
-    workers:
-        Shard count; defaults to ``os.cpu_count()`` (or the shared
-        pool's worker count).  ``workers == 1`` runs in-process through
-        :class:`BatchIngest`.
-    policy:
-        ``"range"`` (contiguous slices, default) or ``"hash"``
-        (per-key residue sharding); both partitions are exact by
-        linearity, the choice only moves scan cost vs flow affinity.
-    chunk_size:
-        Per-worker :class:`BatchIngest` chunk size.
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default;
-        tests exercise both ``"fork"`` and ``"spawn"``).
-    timeout:
-        Wall-clock budget for any single wait on the workers; a shard
-        still missing past it raises :class:`ShardFailureError` (never a
-        hang).
-    pool:
-        A shared :class:`ShardWorkerPool` to run on.  When omitted the
-        driver lazily starts its own pool on the first parallel run and
-        keeps it hot across calls — close the driver (or let it be
-        garbage collected) to release the workers and slabs.
-    slab_packets:
-        Slab capacity for an owned pool (ignored with ``pool=``).
-    """
-
-    def __init__(self, sketch_factory: Callable[[], UniversalSketch],
-                 workers: Optional[int] = None, policy: str = RANGE,
-                 chunk_size: int = 8192,
-                 start_method: Optional[str] = None,
-                 timeout: float = 300.0,
-                 clock: Callable[[], float] = time.perf_counter,
-                 pool: Optional[ShardWorkerPool] = None,
-                 slab_packets: int = DEFAULT_SLAB_PACKETS) -> None:
-        if workers is None:
-            workers = pool.workers if pool is not None \
-                else (os.cpu_count() or 1)
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if policy not in _POLICIES:
-            raise ConfigurationError(
-                f"unknown shard policy {policy!r} (want one of {_POLICIES})")
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}")
-        if timeout <= 0:
-            raise ConfigurationError(f"timeout must be > 0, got {timeout}")
-        if pool is not None and pool.workers != workers:
-            raise ConfigurationError(
-                f"shared pool runs {pool.workers} workers, driver wants "
-                f"{workers}")
-        self.sketch_factory = sketch_factory
-        self.workers = workers
-        self.policy = policy
-        self.chunk_size = chunk_size
-        self.start_method = start_method
-        self.timeout = timeout
-        self.slab_packets = slab_packets
-        self._clock = clock
-        self._pool = pool
-        self._owns_pool = pool is None
-
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def like(cls, sketch: UniversalSketch, **kwargs) -> "ShardedIngest":
-        """A driver whose shards share ``sketch``'s geometry and seed —
-        the result merges exactly into (or replaces) ``sketch``."""
-        if not isinstance(sketch, UniversalSketch):
-            raise ConfigurationError(
-                "ShardedIngest.like needs a UniversalSketch template, got "
-                f"{type(sketch).__name__}")
-        params = _sketch_params(sketch)
-        return cls(lambda: UniversalSketch(**params), **kwargs)
-
-    @property
-    def pool(self) -> Optional[ShardWorkerPool]:
-        """The pool this driver runs on (None until the first parallel
-        run of an owned-pool driver)."""
-        return self._pool
-
-    def close(self) -> None:
-        """Release an owned pool (workers + slabs); shared pools are the
-        owner's to close.  The driver stays usable — the next parallel
-        run starts a fresh pool."""
-        if self._owns_pool and self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "ShardedIngest":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC ordering varies
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def ingest_keys(self, keys: np.ndarray,
-                    weights: Optional[np.ndarray] = None
-                    ) -> ShardedIngestReport:
-        """Shard, ingest, and merge a ``uint64`` key stream."""
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        if weights is not None:
-            weights = np.asarray(weights)
-            if np.issubdtype(weights.dtype, np.floating) \
-                    and not np.isfinite(weights).all():
-                bad = int(np.count_nonzero(~np.isfinite(weights)))
-                raise ConfigurationError(
-                    f"weights must be finite: {bad} NaN/inf value(s) "
-                    f"cannot be counted as int64 packet weights")
-            weights = np.ascontiguousarray(
-                weights.astype(np.int64, copy=False))
-            if len(weights) != len(keys):
-                raise ConfigurationError(
-                    f"weights length {len(weights)} != keys length "
-                    f"{len(keys)}")
-        template = self.sketch_factory()
-        if not isinstance(template, UniversalSketch):
-            raise ConfigurationError(
-                "ShardedIngest shards UniversalSketch ingest only, got "
-                f"{type(template).__name__}")
-        if self.workers > 1 and template.seed is None:
-            raise ConfigurationError(
-                "sharded ingest needs an explicit sketch seed (equal-seed "
-                "shards are what makes the merge exact)")
-        reason = None
-        if self.workers == 1:
-            reason = "workers=1"
-        elif len(keys) == 0:
-            reason = "empty stream"
-        elif not shared_memory_available():
-            reason = "no shared memory"
-        if reason is not None:
-            return self._ingest_in_process(template, keys, weights, reason)
-        return self._ingest_parallel(template, keys, weights)
-
-    # ------------------------------------------------------------------ #
-    # degraded path
-    # ------------------------------------------------------------------ #
-
-    def _ingest_in_process(self, sketch: UniversalSketch, keys: np.ndarray,
-                           weights: Optional[np.ndarray],
-                           reason: str) -> ShardedIngestReport:
-        reg = get_registry()
-        reg.counter("univmon_shard_fallbacks_total",
-                    help="sharded-ingest runs degraded to in-process "
-                         "BatchIngest", reason=reason).inc()
-        report = BatchIngest(sketch, chunk_size=self.chunk_size,
-                             clock=self._clock).ingest_keys(keys, weights)
-        self._record_run(reg, (report,), workers=1)
-        return ShardedIngestReport(
-            sketch=sketch, packets=report.packets, workers=1,
-            policy=self.policy, parallel=False, seconds=report.seconds,
-            merge_seconds=0.0, shards=(report,), fallback_reason=reason)
-
-    # ------------------------------------------------------------------ #
-    # pooled path
-    # ------------------------------------------------------------------ #
-
-    def _ensure_pool(self) -> ShardWorkerPool:
-        if self._pool is None:
-            self._pool = ShardWorkerPool(
-                workers=self.workers, slab_packets=self.slab_packets,
-                start_method=self.start_method, timeout=self.timeout,
-                clock=self._clock)
-        return self._pool
-
-    def _ingest_parallel(self, template: UniversalSketch, keys: np.ndarray,
-                         weights: Optional[np.ndarray]
-                         ) -> ShardedIngestReport:
-        reg = get_registry()
-        pool = self._ensure_pool()
-        params = _sketch_params(template)
-        n = len(keys)
-        start = self._clock()
-        merged, shards, merge_seconds = pool.run_epoch(
-            params, keys, weights, policy=self.policy,
-            chunk_size=self.chunk_size)
-        self._record_run(reg, shards, workers=self.workers)
-        return ShardedIngestReport(
-            sketch=merged, packets=n, workers=self.workers,
-            policy=self.policy, parallel=True,
-            seconds=self._clock() - start, merge_seconds=merge_seconds,
-            shards=shards)
-
-    def _record_run(self, reg, shards: Tuple[IngestReport, ...],
-                    workers: int) -> None:
-        reg.counter("univmon_shard_runs_total",
-                    help="completed sharded-ingest runs").inc()
-        reg.gauge("univmon_shard_workers",
-                  help="worker count of the last sharded-ingest run").set(
-                      workers)
-        # Per-shard series reset every run: a 2-worker run after a
-        # 4-worker run must export exactly 2 shard series, not keep the
-        # wider run's stale shard="2"/"3" values alive in scrapes.
-        clear = getattr(reg, "clear_family", None)
-        if clear is not None:
-            clear("univmon_shard_packets_total")
-            clear("univmon_shard_packets_per_second")
-        for index, report in enumerate(shards):
-            reg.counter("univmon_shard_packets_total",
-                        help="packets folded in per shard",
-                        shard=str(index)).inc(report.packets)
-            reg.gauge("univmon_shard_packets_per_second",
-                      help="per-shard rate of the last run",
-                      shard=str(index)).set(report.packets_per_second)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
+from repro.obs.metrics import get_registry
 from repro.sketches.base import Sketch, UpdateCost
 from repro.dataplane.keys import KeyFunction
 from repro.dataplane.trace import Trace
@@ -117,20 +118,22 @@ class MonitoredSwitch:
             program.total_cost = program.total_cost \
                 + program.sketch.update_cost()
 
-    def process_trace(self, trace: Trace, workers: int = 1,
-                      shard_policy: str = "range") -> None:
+    def process_trace(self, trace: Trace, workers: int = 1) -> None:
         """Bulk path: vectorised when the sketch supports it.
 
-        With ``workers > 1``, programs whose sketch is a seeded
-        :class:`~repro.core.universal.UniversalSketch` are fed through
-        :class:`~repro.dataplane.parallel.ShardedIngest` — the trace is
-        sharded across a switch-held persistent
-        :class:`~repro.dataplane.parallel.ShardWorkerPool` (workers stay
-        hot across epochs and traces; the pool is geometry-agnostic, so
-        one pool serves every program) and the merged result (exact, by
-        linearity) is folded into the program's live sketch.  Other
-        programs, and platforms without shared memory, silently take the
-        in-process path.  :meth:`close` releases the pool.
+        With ``workers > 1``, each program whose sketch is a seeded
+        :class:`~repro.core.universal.UniversalSketch` is folded through
+        the switch's :class:`~repro.dataplane.parallel.ShardWorkerPool`
+        (:meth:`~repro.dataplane.parallel.ShardWorkerPool.run_epoch`):
+        every worker folds a contiguous slice of the trace into an
+        equal-seed sketch, and the program's sketch becomes one n-ary
+        merge of its old state and the shards — level counters, packets
+        and weights bit-identical to serial ingest, by linearity.  The
+        pool is geometry-agnostic, so one pool serves every program, and
+        it stays hot across epochs and traces until :meth:`close`.
+        Other programs take the serial path; so does every program on a
+        platform without POSIX shared memory, counted in
+        ``univmon_shard_fallbacks_total{reason="no shared memory"}``.
         """
         import numpy as np
         n = len(trace)
@@ -142,13 +145,10 @@ class MonitoredSwitch:
             weights = trace.size.astype(np.int64) if program.by_bytes \
                 else None
             sketch = program.sketch
-            if workers > 1 and self._shardable(sketch):
-                from repro.dataplane.parallel import ShardedIngest
-                result = ShardedIngest.like(
-                    sketch, workers=workers, policy=shard_policy,
-                    pool=self._ingest_pool(workers)).ingest_keys(
-                        keys, weights)
-                program.sketch = sketch.merge(result.sketch)
+            pool = self._ingest_pool(workers) \
+                if workers > 1 and self._shardable(sketch) else None
+            if pool is not None:
+                program.sketch = pool.run_epoch(sketch, keys, weights)
             elif hasattr(sketch, "update_array"):
                 if weights is None:
                     sketch.update_array(keys)
@@ -174,8 +174,16 @@ class MonitoredSwitch:
 
     def _ingest_pool(self, workers: int):
         """The switch's persistent worker pool, rebuilt only when the
-        requested worker count changes."""
-        from repro.dataplane.parallel import ShardWorkerPool
+        requested worker count changes; ``None`` (a counted fallback to
+        serial ingest) where POSIX shared memory is missing."""
+        from repro.dataplane.parallel import (ShardWorkerPool,
+                                              shared_memory_available)
+        if not shared_memory_available():
+            get_registry().counter(
+                "univmon_shard_fallbacks_total",
+                help="sharded-ingest runs degraded to serial ingest",
+                reason="no shared memory").inc()
+            return None
         pool = self._shard_pool
         if pool is None or pool.workers != workers:
             if pool is not None:

@@ -4,9 +4,6 @@ Implements the §5 research directions that have concrete constructions:
 
 - :mod:`~repro.network.topology` — switches, links, shortest-path routing
   (networkx under the hood), and ingress assignment of trace packets.
-- :mod:`~repro.network.distributed` — one universal sketch per switch,
-  merged at the controller via linearity (network-wide view), plus
-  hash-partitioned responsibility to spread data-plane load.
 - :mod:`~repro.network.zoom` — dynamic granularity adjustment: monitor at
   prefix level and refine the heavy prefixes each epoch.
 - :mod:`~repro.network.health` — failure detection: consecutive-failure
@@ -16,14 +13,14 @@ Implements the §5 research directions that have concrete constructions:
   in-process switch/link simulators the scale suites run on.
 - :mod:`~repro.network.codec` — compressed full-sketch frames with
   CRC-protected framing and reject-never-corrupt decoding.
-- :mod:`~repro.network.hierarchy` — the network-wide epoch loop: an
-  aggregation tree (flat collection is its one-tier case) over
-  simulated or TCP switch links, with retries, re-parenting around dead
+- :mod:`~repro.network.hierarchy` — the network-wide epoch loop: each
+  switch's equal-seed sketch merged up an aggregation tree (exact, by
+  linearity; flat collection is its one-tier case) over simulated or
+  TCP switch links, with retries, re-parenting around dead
   aggregators, coverage accounting, and resilience policies.
 """
 
 from repro.network.topology import NetworkTopology
-from repro.network.distributed import DistributedMonitor
 from repro.network.health import HealthState, HealthTracker
 from repro.network.faults import FaultPlan, FaultyProxy, SimLink, \
     SimulatedSwitch, zipf_keys
@@ -32,7 +29,7 @@ from repro.network.hierarchy import AgentLink, HierarchicalCoordinator, \
     ResiliencePolicy, TreePlan
 from repro.network.zoom import ZoomMonitor
 
-__all__ = ["NetworkTopology", "DistributedMonitor", "HealthState",
+__all__ = ["NetworkTopology", "HealthState",
            "HealthTracker", "FaultPlan", "FaultyProxy", "SimLink",
            "SimulatedSwitch", "zipf_keys", "DeltaDecoder", "DeltaEncoder",
            "AgentLink", "HierarchicalCoordinator", "ResiliencePolicy",

@@ -11,6 +11,10 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.errors import ConfigurationError
+
 
 @dataclass(frozen=True)
 class UpdateCost:
@@ -45,6 +49,32 @@ class UpdateCost:
             counter_updates=self.counter_updates * n,
             memory_words=self.memory_words * n,
         )
+
+
+def check_batch(keys, weights=None) -> np.ndarray:
+    """``keys`` as a 1-D ``uint64`` array, after checking the batch is
+    well formed: raises :class:`~repro.errors.ConfigurationError` when
+    the keys are not 1-D, ``weights`` is not one weight per key, or a
+    float weight is NaN or infinite (no ``int64`` count can hold it; the
+    scalar path's ``int(w)`` raises too).  Unweighted and integer
+    batches skip the finiteness scan."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    if keys.ndim != 1:
+        raise ConfigurationError(
+            f"keys must be a 1-D array, got shape {keys.shape}")
+    if weights is None:
+        return keys
+    weights = np.asarray(weights)
+    if weights.shape != keys.shape:
+        raise ConfigurationError(
+            f"weights must be one per key: got shape {weights.shape} "
+            f"for {len(keys)} keys")
+    if weights.dtype.kind == "f" and not np.isfinite(weights).all():
+        bad = int(np.count_nonzero(~np.isfinite(weights)))
+        raise ConfigurationError(
+            f"weights must be finite: {bad} NaN/inf value(s) cannot be "
+            f"counted as int64 packet weights")
+    return keys
 
 
 class Sketch(abc.ABC):

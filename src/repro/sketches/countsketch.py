@@ -29,7 +29,7 @@ from repro.hashing.tabulation import (
     pack_tabulation_fields,
     tabulation_family,
 )
-from repro.sketches.base import Sketch, UpdateCost
+from repro.sketches.base import Sketch, UpdateCost, check_batch
 
 
 class CountSketch(Sketch):
@@ -168,7 +168,10 @@ class CountSketch(Sketch):
                      weights: Optional[np.ndarray] = None) -> None:
         """Vectorised bulk update (numpy ``uint64`` keys): the batch is
         hashed once (:meth:`_row_slots`) and each row accumulates it
-        with one ``np.bincount`` (:meth:`_add`)."""
+        with one ``np.bincount`` (:meth:`_add`).  Raises
+        :class:`~repro.errors.ConfigurationError` for a malformed batch
+        (see :func:`~repro.sketches.base.check_batch`)."""
+        keys = check_batch(keys, weights)
         if len(keys) == 0:
             return
         if weights is not None:

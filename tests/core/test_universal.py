@@ -123,6 +123,14 @@ class TestMalformedBatch:
         # Aggregation would flatten these while `packets` counted rows.
         self._assert_rejected(np.arange(12, dtype=np.uint64).reshape(4, 3))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_weights_rejected(self, bad):
+        # Used to return normally: total_weight read the finite sum and
+        # the level-0 table held int64 garbage (-2**63 from the cast).
+        self._assert_rejected(np.arange(4, dtype=np.uint64),
+                              [1.0, bad, 2.0, 3.0])
+
 
 class TestBulkOracle:
     """The aggregate-once bulk path against the per-packet bulk semantics

@@ -12,7 +12,9 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.controlplane.apps.cardinality import CardinalityApp
 from repro.controlplane.apps.entropy import EntropyApp
+from repro.controlplane.apps.heavy_hitters import HeavyHitterApp
 from repro.dataplane.keys import src_ip_key
+from repro.eval.groundtruth import GroundTruth
 from repro.network.faults import SimLink, SimulatedSwitch
 from repro.network.hierarchy import HierarchicalCoordinator
 from repro.network.topology import NetworkTopology
@@ -103,6 +105,41 @@ class TestEpochLoop:
         from repro.core.gsum import estimate_cardinality
         assert report["cardinality"]["distinct"] == \
             pytest.approx(estimate_cardinality(central), rel=0.15)
+
+    def test_network_sketch_equals_single_switch_sketch(self, small_trace):
+        """Distributing then merging must equal sketching centrally —
+        the exactness that linearity buys: the published epoch's level
+        counters are bit-identical to one central ``update_array``."""
+        flat = Flat()
+        capture = _Capture()
+        flat.coordinator.register(capture)
+        flat.run_trace(small_trace, 10.0)
+
+        central = factory()
+        central.update_array(small_trace.key_array(src_ip_key))
+        published = capture.sketch
+        assert published.packets == central.packets
+        for lp, lc in zip(published.levels, central.levels):
+            assert np.array_equal(lp.sketch.table, lc.sketch.table)
+            assert (lp.packets, lp.weight) == (lc.packets, lc.weight)
+
+    def test_network_wide_heavy_hitters(self, small_trace):
+        flat = Flat()
+        flat.coordinator.register(HeavyHitterApp(alpha=0.02))
+        (_fed, report), = flat.run_trace(small_trace, 10.0)
+        true_keys = GroundTruth(small_trace, src_ip_key) \
+            .heavy_hitter_keys(0.02)
+        reported = set(report["heavy_hitters"]["keys"])
+        assert len(true_keys - reported) <= max(1, len(true_keys) // 4)
+
+    def test_load_reported_per_switch(self, small_trace):
+        """Ingress assignment sketches each packet at exactly one
+        switch; the switches' load adds up to the trace."""
+        flat = Flat()
+        flat.feed(small_trace)
+        load = {name: sw.fed_total for name, sw in flat.switches.items()}
+        assert sum(load.values()) == len(small_trace)
+        assert sum(1 for packets in load.values() if packets) > 1
 
 
 class TestMergeAliasing:

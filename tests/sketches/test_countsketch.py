@@ -205,6 +205,29 @@ class TestAccounting:
         assert cp.query(1) == 10
 
 
+class TestMalformedBatch:
+    """A malformed batch is rejected before any counter is touched: the
+    scalar path's ``int(w)`` raises on NaN/inf, and the bulk path's
+    int64 cast used to write -2**63 into the table instead."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    @pytest.mark.parametrize("width", [256, 200])  # packed and fallback
+    def test_non_finite_weights_rejected(self, bad, width):
+        cs = CountSketch(rows=3, width=width, seed=9)
+        with pytest.raises(ConfigurationError, match="finite"):
+            cs.update_array(np.arange(4, dtype=np.uint64),
+                            np.array([1.0, bad, 2.0, 3.0]))
+        assert not cs.table.any()
+
+    def test_weight_length_mismatch_rejected(self):
+        cs = CountSketch(rows=3, width=64, seed=9)
+        with pytest.raises(ConfigurationError, match="one per key"):
+            cs.update_array(np.arange(4, dtype=np.uint64),
+                            np.ones(3, dtype=np.int64))
+        assert not cs.table.any()
+
+
 class TestBulkWeightDtypes:
     """Regression: bulk updates must coerce weight arrays to int64 so the
     counter table never silently changes dtype (float64 weights used to
