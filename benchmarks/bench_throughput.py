@@ -9,7 +9,11 @@ The ``test_speedup_*`` tests additionally pin the vectorised-ingest
 rewrite against verbatim copies of the original ``np.add.at`` bulk
 path (sketches constructed *outside* the timed region in both cases)
 and enforce the release floors: >= 3x for ``CountSketch.update_array``
-and >= 2x for ``UniversalSketch.update_array``.  ``test_sharded_crossover``
+and >= 2x for ``UniversalSketch.update_array``.  ``test_speedup_hash_kernel``
+pins the stacked-table ``TabulationFamily.hash_matrix`` (the hashing
+behind every Count Sketch, Count-Min and k-ary sketch whose width is not
+a power of two) against a frozen copy of the per-row gather loop it
+replaced.  ``test_sharded_crossover``
 sweeps serial ingest (one ``update_array`` per stream, what
 ``process_trace(workers=1)`` runs) against ``ShardWorkerPool.run_epoch``
 (what ``process_trace(workers=k)`` runs) across stream sizes to locate
@@ -18,6 +22,8 @@ Results are written to ``benchmarks/results/BENCH_throughput.json``.
 """
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -27,6 +33,7 @@ import pytest
 from repro.dataplane.keys import src_ip_key
 from repro.dataplane.replay import BatchIngest
 from repro.core.universal import UniversalSketch
+from repro.hashing.tabulation import byte_view, tabulation_family
 from repro.opensketch.tasks import (
     ChangeDetectionTask,
     DDoSDetectionTask,
@@ -79,7 +86,7 @@ def keys(bench_trace):
 def _baseline_countsketch_update(sketch, keys, weights=None):
     if weights is None:
         weights = np.ones(len(keys), dtype=np.int64)
-    for r, h in enumerate(sketch._hashes):
+    for r, h in enumerate(sketch._family.hashes):
         v = h.hash_array(keys)
         sign = np.where(v >> np.uint64(63), 1, -1).astype(np.int64)
         buckets = (v % np.uint64(sketch.width)).astype(np.intp)
@@ -91,7 +98,7 @@ def _baseline_deepest_levels(sampler, keys):
     if sampler.levels == 0:
         return np.zeros(n, dtype=np.int64)
     bits = np.empty((sampler.levels, n), dtype=bool)
-    for j, h in enumerate(sampler._hashes):
+    for j, h in enumerate(sampler._family.hashes):
         bits[j] = (h.hash_array(keys) & np.uint64(1)).astype(bool)
     all_true = bits.all(axis=0)
     first_zero = np.argmin(bits, axis=0)
@@ -118,6 +125,27 @@ def _baseline_universal_update(u, keys):
             break
         _baseline_level_update(level, keys[mask])
     u.packets += len(keys)
+
+
+def _baseline_hash_matrix(row_tables, xs):
+    """The per-row multi-hash kernel the stacked gather replaced: 8
+    gathers and 7 XORs per row, each row reading its own contiguous
+    ``(8, 256)`` table."""
+    view = byte_view(xs)
+    n = view.shape[0]
+    out = np.empty((len(row_tables), n), dtype=np.uint64)
+    scratch = np.empty(n, dtype=np.uint64)
+    for r, tables in enumerate(row_tables):
+        np.take(tables[0], view[:, 0], out=out[r])
+        for i in range(1, 8):
+            np.take(tables[i], view[:, i], out=scratch)
+            np.bitwise_xor(out[r], scratch, out=out[r])
+    return out
+
+
+def _host_stamp():
+    return {"cpus": os.cpu_count(), "machine": platform.machine(),
+            "python": platform.python_version(), "numpy": np.__version__}
 
 
 def _best_seconds(fn, repeats=7):
@@ -148,6 +176,42 @@ def test_speedup_countsketch_bulk(keys):
     assert speedup >= 3.0, (
         f"CountSketch bulk path is only {speedup:.2f}x the np.add.at "
         f"baseline (need >= 3x)")
+
+
+#: Keys per call: a deep level's or a subtract's heap keys, one
+#: switch_zipf epoch's distinct keys, and a large all-distinct batch;
+#: with the floor each size must meet.
+HASH_KERNEL_FLOORS = {128: 2.0, 1_400: 2.0, 300_000: 1.0}
+
+
+def test_speedup_hash_kernel():
+    """Stacked-table ``hash_matrix`` (5 rows) >= 2x the per-row loop at
+    128 and 1,400 keys, and not slower at 300k keys."""
+    family = tabulation_family(1, 5)
+    # The per-row kernel read one contiguous table per hash.
+    row_tables = [np.ascontiguousarray(h._np_tables) for h in family.hashes]
+    gen = np.random.default_rng(5)
+    by_keys = {}
+    for n, floor in HASH_KERNEL_FLOORS.items():
+        xs = gen.integers(0, 1 << 64, n, dtype=np.uint64)
+        assert np.array_equal(family.hash_matrix(xs),
+                              _baseline_hash_matrix(row_tables, xs))
+        repeats = 200 if n < 10_000 else 7
+        t_new = _best_seconds(lambda: family.hash_matrix(xs), repeats)
+        t_old = _best_seconds(lambda: _baseline_hash_matrix(row_tables, xs),
+                              repeats)
+        by_keys[str(n)] = {
+            "new_us": round(t_new * 1e6, 1),
+            "baseline_us": round(t_old * 1e6, 1),
+            "speedup": round(t_old / t_new, 2),
+            "floor": floor,
+        }
+    _RESULTS["hash_kernel"] = {"rows": 5, "host": _host_stamp(),
+                               "by_keys": by_keys}
+    for n, point in by_keys.items():
+        assert point["speedup"] >= point["floor"], (
+            f"stacked hash_matrix is {point['speedup']:.2f}x the per-row "
+            f"loop at {n} keys (need >= {point['floor']}x)")
 
 
 def test_speedup_universal_bulk(keys):
@@ -234,7 +298,6 @@ def test_pool_workers_sweep(keys):
     fork + slab allocation) and a second one on the now-warm pool — the
     steady-state rate every later epoch sees.
     """
-    import os
     from repro.dataplane.parallel import ShardWorkerPool, \
         shared_memory_available
 
@@ -271,7 +334,6 @@ def test_speedup_sharded_ingest(bench_trace):
     floor is skipped (recorded in the results JSON as skipped) instead
     of producing a meaningless failure.
     """
-    import os
     from repro.dataplane.parallel import ShardWorkerPool, \
         shared_memory_available
 
@@ -319,7 +381,6 @@ def test_sharded_crossover():
     so BENCH_throughput.json always carries crossover data.  Merged
     counters are checked bit-for-bit against serial at every point.
     """
-    import os
     from repro.dataplane.parallel import ShardWorkerPool, \
         shared_memory_available
 

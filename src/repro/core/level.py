@@ -64,7 +64,7 @@ class SketchLevel:
         table = sketch.table
         w = sketch.width
         estimates = np.empty(sketch.rows, dtype=np.float64)
-        for r, h in enumerate(sketch._hashes):
+        for r, h in enumerate(sketch._family.hashes):
             v = h(key)
             sign = 1 if (v >> 63) else -1
             bucket = v % w

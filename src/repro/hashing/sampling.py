@@ -13,13 +13,12 @@ single O(levels) pass per packet instead of the naive O(levels**2).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hashing.tabulation import (
-    TabulationHash,
     gather_packed,
     pack_tabulation_fields,
     tabulation_family,
@@ -40,7 +39,7 @@ class LevelSampler:
         merging or differencing universal sketches.
     """
 
-    __slots__ = ("levels", "_hashes", "seed", "_parity")
+    __slots__ = ("levels", "_family", "seed")
 
     def __init__(self, levels: int, seed: Optional[int] = None) -> None:
         if levels < 0:
@@ -48,27 +47,25 @@ class LevelSampler:
         self.levels = levels
         self.seed = seed
         # One independent hash per level; bit j of a key is hash_j's parity.
-        self._hashes: List[TabulationHash] = \
-            list(tabulation_family(seed, levels))
-        self._parity = None
+        self._family = tabulation_family(seed, levels)
 
     def bit(self, level: int, key: int) -> int:
         """The value of ``h_level(key)`` in {0, 1} (level is 1-based)."""
         if not 1 <= level <= self.levels:
             raise ConfigurationError(
                 f"level must be in [1, {self.levels}], got {level}")
-        return self._hashes[level - 1](key) & 1
+        return self._family.hashes[level - 1](key) & 1
 
-    def _packed_parity(self):
-        """The fused parity table, or ``False`` when it cannot be packed
-        (more than 63 levels).  Built lazily and cached."""
-        if self._parity is None:
-            if self.levels <= 63:
-                self._parity = pack_tabulation_fields(
-                    self._hashes, lambda t: t & np.uint64(1), 1)
-            else:
-                self._parity = False
-        return self._parity
+    def _packed_parity(self) -> Optional[np.ndarray]:
+        """The fused parity table, or ``None`` when it cannot be packed
+        (more than 63 levels).  Built once per hash family, so every
+        equal-seed sampler shares it."""
+        if self.levels > 63:
+            return None
+        return self._family.derived(
+            ("parity",),
+            lambda hashes: pack_tabulation_fields(
+                hashes, lambda t: t & np.uint64(1), 1))
 
     def bit_array(self, level: int, keys: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`bit`: ``h_level`` over a ``uint64`` key array.
@@ -87,7 +84,7 @@ class LevelSampler:
         if words is not None:
             return ((words >> np.int64(level - 1)) & np.int64(1)) \
                 .astype(np.int64)
-        return (self._hashes[level - 1].hash_array(
+        return (self._family.hashes[level - 1].hash_array(
             np.asarray(keys, dtype=np.uint64))
             & np.uint64(1)).astype(np.int64)
 
@@ -102,7 +99,7 @@ class LevelSampler:
         hashing.
         """
         packed = self._packed_parity()
-        if packed is False:
+        if packed is None:
             return None
         return gather_packed(packed, np.asarray(keys, dtype=np.uint64))
 
@@ -113,7 +110,7 @@ class LevelSampler:
         ``levels`` means the key survives every sampling hash.
         """
         depth = 0
-        for h in self._hashes:
+        for h in self._family.hashes:
             if h(key) & 1:
                 depth += 1
             else:
@@ -129,13 +126,14 @@ class LevelSampler:
         the word whose bit ``j`` is ``h_{j+1}(key) & 1``.  The depth is
         the run of trailing ones of that word — the position of the
         lowest zero bit, found with ``(x & -x)`` on the complement.
-        Falls back to per-level hashing when ``levels > 63``.
+        Falls back to one stacked gather of every level's full hash
+        when ``levels > 63``.
         """
         n = len(keys)
         if self.levels == 0:
             return np.zeros(n, dtype=np.int64)
         packed = self._packed_parity()
-        if packed is not False:
+        if packed is not None:
             bits = gather_packed(packed, keys)
             mask = np.int64((1 << self.levels) - 1)
             inv = ~bits & mask          # zero bits of the parity word
@@ -143,9 +141,7 @@ class LevelSampler:
             depth = np.bitwise_count((low - np.int64(1)) & mask)
             return np.where(inv == 0, np.int64(self.levels),
                             depth).astype(np.int64)
-        bits = np.empty((self.levels, n), dtype=bool)
-        for j, h in enumerate(self._hashes):
-            bits[j] = (h.hash_array(keys) & np.uint64(1)).astype(bool)
+        bits = (self._family.hash_matrix(keys) & np.uint64(1)).astype(bool)
         # Depth = index of first False row, or `levels` if all True.
         all_true = bits.all(axis=0)
         first_zero = np.argmin(bits, axis=0)  # 0 if bits[0] False, etc.

@@ -12,22 +12,33 @@ XORs beat modular polynomial evaluation by a wide margin in CPython, and
 the batched :meth:`TabulationHash.hash_array` variant is pure numpy fancy
 indexing, which is what makes trace-scale benchmarks tractable.
 
-Multi-row bulk ingest goes further.  Because tabulation hashing is a XOR
-of byte-table entries, any function of the hash that commutes with XOR
-(bit masks, bit selects, shifts) can be *precomputed into the tables*;
-and several rows' fields can be packed into disjoint bit ranges of one
-64-bit word, since XOR never carries between fields.  A sketch with
-``rows`` hash functions then evaluates every row's bucket (and sign bit)
-with a single set of eight gathers from one fused ``(8, 256)`` table —
-see :func:`pack_tabulation_fields` / :func:`gather_packed` and their use
-in ``repro.sketches.countsketch``.
+Multi-row bulk hashing goes further, along two paths.  Because
+tabulation hashing is a XOR of byte-table entries, any function of the
+hash that commutes with XOR (bit masks, bit selects, shifts) can be
+*precomputed into the tables*; and several rows' fields can be packed
+into disjoint bit ranges of one 64-bit word, since XOR never carries
+between fields.  A sketch with ``rows`` hash functions and a
+power-of-two width then evaluates every row's bucket (and sign bit) with
+a single set of eight gathers from one fused ``(8, 256)`` table — see
+:func:`pack_tabulation_fields` / :func:`gather_packed` and their use in
+``repro.sketches.countsketch``.  A width that is not a power of two
+needs each row's full 64-bit hash (bucket = hash modulo width, which
+does not commute with XOR); :meth:`TabulationFamily.hash_matrix` gathers
+those for all rows at once from the family's stacked ``(8, 256, rows)``
+table, so it too costs eight gathers per call, not eight per row.
+
+Both kinds of table depend only on the seed.  :func:`tabulation_family`
+memoises each seeded family, and the family memoises the tables derived
+from it (:meth:`TabulationFamily.derived`), so equal-seed sketches —
+every frame decode, every merge fold, every epoch's fresh sketch — build
+them once per process, not once per sketch.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -74,49 +85,18 @@ def pack_tabulation_fields(hashes: Sequence["TabulationHash"],
 
 
 def gather_packed(packed: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """XOR-gather a fused table over a key array (``int64`` output)."""
+    """XOR-gather a fused table over a key array (``int64`` output).
+
+    ``mode="clip"`` skips the bounds check: a byte always indexes one of
+    the 256 entries, so clipping never changes a value.
+    """
     view = byte_view(xs)
-    out = np.take(packed[0], view[:, 0])
+    out = np.take(packed[0], view[:, 0], mode="clip")
     scratch = np.empty(len(out), dtype=np.int64)
     for i in range(1, 8):
-        np.take(packed[i], view[:, i], out=scratch)
+        np.take(packed[i], view[:, i], mode="clip", out=scratch)
         np.bitwise_xor(out, scratch, out=out)
     return out
-
-
-#: Memoized seed-derived hash families (see :func:`tabulation_family`).
-#: Bounded: a pathological sweep over thousands of distinct seeds clears
-#: the cache rather than growing it without limit.
-_FAMILY_CACHE: dict = {}
-_FAMILY_CACHE_MAX = 512
-
-
-def tabulation_family(seed: Optional[int],
-                      count: int) -> "tuple[TabulationHash, ...]":
-    """The first ``count`` hashes of ``random.Random(seed)``'s
-    deterministic tabulation stream.
-
-    Hash construction is the dominant cost of building a sketch (2048
-    ``getrandbits`` calls per function), and a fleet of equal-seed
-    sketches — every frame decode, every merge fold, every simulated
-    switch — rebuilds the *same* functions.  Since
-    :class:`TabulationHash` is immutable after construction (sketch
-    copies already share hash machinery on that basis), equal-seed
-    families can be shared globally.  ``seed=None`` means "fresh
-    randomness" and is never cached.
-    """
-    if seed is None:
-        rng = random.Random(None)
-        return tuple(TabulationHash(rng=rng) for _ in range(count))
-    key = (int(seed), count)
-    family = _FAMILY_CACHE.get(key)
-    if family is None:
-        if len(_FAMILY_CACHE) >= _FAMILY_CACHE_MAX:
-            _FAMILY_CACHE.clear()
-        rng = random.Random(seed)
-        family = tuple(TabulationHash(rng=rng) for _ in range(count))
-        _FAMILY_CACHE[key] = family
-    return family
 
 
 class TabulationHash:
@@ -156,29 +136,6 @@ class TabulationHash:
             out ^= self._np_tables[i][byte]
         return out
 
-    @staticmethod
-    def hash_matrix(hashes: Sequence["TabulationHash"],
-                    xs: np.ndarray) -> np.ndarray:
-        """Evaluate several hash functions over one key array at once.
-
-        Returns a ``(len(hashes), len(xs))`` ``uint64`` array whose row
-        ``r`` equals ``hashes[r].hash_array(xs)``.  The byte extraction
-        (:func:`byte_view`) is shared across all rows — one pass over the
-        8 key bytes instead of one per row — and the gathers write into
-        the output rows directly, so no per-row temporaries are built.
-        """
-        view = byte_view(xs)
-        n = view.shape[0]
-        out = np.empty((len(hashes), n), dtype=np.uint64)
-        scratch = np.empty(n, dtype=np.uint64)
-        for r, h in enumerate(hashes):
-            tables = h._np_tables
-            np.take(tables[0], view[:, 0], out=out[r])
-            for i in range(1, 8):
-                np.take(tables[i], view[:, i], out=scratch)
-                np.bitwise_xor(out[r], scratch, out=out[r])
-        return out
-
     def bucket(self, x: int, width: int) -> int:
         """Hash ``x`` onto ``[0, width)``."""
         return self(x) % width
@@ -186,3 +143,106 @@ class TabulationHash:
     def sign(self, x: int) -> int:
         """Hash ``x`` onto ``{-1, +1}`` using the top bit."""
         return 1 if (self(x) >> 63) else -1
+
+
+class TabulationFamily:
+    """``count`` tabulation hashes drawn in turn from one random stream,
+    with the bulk tables derived from them.
+
+    The hashes' byte tables are stored once, stacked as ``(8, 256,
+    count)``: entry ``[i, b, r]`` is ``hashes[r]``'s word for byte value
+    ``b`` at byte position ``i``, and each hash's own ``(8, 256)`` table
+    is a view of column ``r``.  A byte value then selects a contiguous
+    run of ``count`` words, one per hash, which is what lets
+    :meth:`hash_matrix` gather every row with one ``take`` per byte.
+
+    The hashes and the stacked table never change after construction,
+    and a derived table never changes once built (:meth:`derived`), so
+    sketches, their copies and every equal-seed sketch share one
+    instance (see :func:`tabulation_family`).
+    """
+
+    __slots__ = ("hashes", "stacked", "_derived")
+
+    def __init__(self, count: int, rng: random.Random) -> None:
+        self.hashes = tuple(TabulationHash(rng=rng) for _ in range(count))
+        self.stacked = np.empty((8, 256, count), dtype=np.uint64)
+        for r, h in enumerate(self.hashes):
+            self.stacked[:, :, r] = h._np_tables
+        self.stacked.flags.writeable = False  # shared: see tabulation_family
+        for r, h in enumerate(self.hashes):
+            h._np_tables = self.stacked[:, :, r]
+        self._derived: dict = {}
+
+    def hash_matrix(self, xs: np.ndarray) -> np.ndarray:
+        """Every hash of the family over one key array.
+
+        Returns a ``(count, len(xs))`` ``uint64`` array whose row ``r``
+        equals ``hashes[r].hash_array(xs)``.  Each of the 8 key bytes is
+        one gather of ``count`` contiguous words per key from the
+        stacked table, XORed into the result: 8 gathers and 7 XORs per
+        call, whatever the number of rows.  The result is the transpose
+        of a C-ordered ``(len(xs), count)`` array, so its rows are
+        strided views.
+        """
+        view = byte_view(xs)
+        stacked = self.stacked
+        # mode="clip" skips the bounds check (a byte is always < 256).
+        out = np.take(stacked[0], view[:, 0], axis=0, mode="clip")
+        scratch = np.empty_like(out)
+        for i in range(1, 8):
+            np.take(stacked[i], view[:, i], axis=0, mode="clip", out=scratch)
+            np.bitwise_xor(out, scratch, out=out)
+        return out.T
+
+    def derived(self, name: Hashable,
+                build: Callable[[Sequence[TabulationHash]], np.ndarray]
+                ) -> np.ndarray:
+        """The table ``build(hashes)``, built on the first request for
+        ``name`` and shared by every later one.
+
+        ``name`` must identify the table completely (the fused field
+        layout and the geometry it depends on), since every sketch that
+        shares this family reads the same entry; the table is handed out
+        read-only.  Two threads asking at once may both build it; both
+        results are equal and either one is kept.
+        """
+        table = self._derived.get(name)
+        if table is None:
+            table = build(self.hashes)
+            table.flags.writeable = False
+            self._derived[name] = table
+        return table
+
+
+#: Memoized seed-derived hash families (see :func:`tabulation_family`).
+#: Bounded: a pathological sweep over thousands of distinct seeds clears
+#: the cache rather than growing it without limit.  Each family holds
+#: its derived tables, so they are bounded and cleared with it.
+_FAMILY_CACHE: dict = {}
+_FAMILY_CACHE_MAX = 512
+
+
+def tabulation_family(seed: Optional[int], count: int) -> TabulationFamily:
+    """The first ``count`` hashes of ``random.Random(seed)``'s
+    deterministic tabulation stream, as one :class:`TabulationFamily`.
+
+    Hash construction is the dominant cost of building a sketch (2048
+    ``getrandbits`` calls per function), and a fleet of equal-seed
+    sketches — every frame decode, every merge fold, every simulated
+    switch — rebuilds the *same* functions, and from them the same
+    fused and stacked tables.  Since a family does not change once built
+    (sketch copies already share hash machinery on that basis),
+    equal-seed families can be shared globally.  ``seed=None`` means
+    "fresh randomness" and is never cached.
+    """
+    if seed is None:
+        return TabulationFamily(count, random.Random(None))
+    key = (int(seed), count)
+    family = _FAMILY_CACHE.get(key)
+    if family is None:
+        if len(_FAMILY_CACHE) >= _FAMILY_CACHE_MAX:
+            _FAMILY_CACHE.clear()
+        family = TabulationFamily(count, random.Random(seed))
+        _FAMILY_CACHE[key] = family
+    return family

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, IncompatibleSketchError
 from repro.hashing.tabulation import (
-    TabulationHash,
+    TabulationFamily,
     gather_packed,
     pack_tabulation_fields,
     tabulation_family,
@@ -26,40 +26,55 @@ from repro.hashing.tabulation import (
 from repro.sketches.base import Sketch, UpdateCost
 
 
-def _packed_bucket_state(hashes: List[TabulationHash], rows: int, width: int):
-    """Fused bucket tables for signless tableau sketches (Count-Min,
-    k-ary): ``(tables, field_bits)`` with row ``r``'s bucket at bit
-    offset ``r * field_bits``, or ``(None, 0)`` when unpackable."""
+def _row_buckets(family: TabulationFamily, width: int,
+                 keys: np.ndarray) -> np.ndarray:
+    """Every row's bucket for every key, as a ``(rows, len(keys))``
+    ``int64`` array, for the signless tableau sketches (Count-Min,
+    k-ary).  The bulk paths' one place to hash.
+
+    A power-of-two width whose per-row bucket fields fit one 64-bit word
+    takes one XOR-gather of a fused bucket table, built once per hash
+    family; any other width takes one stacked gather of the full hashes
+    (:meth:`~repro.hashing.tabulation.TabulationFamily.hash_matrix`),
+    reduced modulo ``width`` as the scalar path does.
+    """
+    rows = len(family.hashes)
     lg2w = width.bit_length() - 1
     if width == 1 << lg2w and lg2w > 0 and rows * lg2w <= 63:
         mask = np.uint64(width - 1)
-        tables = pack_tabulation_fields(hashes, lambda t: t & mask, lg2w)
-        return (tables, lg2w)
-    return (None, 0)
+        packed = family.derived(
+            ("bucket", width),
+            lambda hashes: pack_tabulation_fields(
+                hashes, lambda t: t & mask, lg2w))
+        words = gather_packed(packed, keys)
+        buckets = np.empty((rows, len(keys)), dtype=np.int64)
+        for r, out in enumerate(buckets):
+            np.right_shift(words, r * lg2w, out=out)
+        buckets &= width - 1
+        return buckets
+    return (family.hash_matrix(keys) % np.uint64(width)).astype(np.int64)
 
 
-def _bincount_rows(table: np.ndarray, slots: np.ndarray, field_bits: int,
-                   weights: Optional[np.ndarray]) -> None:
-    """Accumulate packed per-row bucket fields into ``table`` rows."""
-    rows, width = table.shape
-    fmask = np.int64(width - 1)
+def _add_rows(table: np.ndarray, buckets: np.ndarray,
+              weights: Optional[np.ndarray]) -> None:
+    """Add ``weights`` (one each when ``None``) at each row's buckets,
+    with one ``np.bincount`` per row."""
+    width = table.shape[1]
     wf = None if weights is None else weights.astype(np.float64)
-    for r in range(rows):
-        slot = (slots >> np.int64(r * field_bits)) & fmask
+    for row, bucket in zip(table, buckets):
         if wf is None:
-            counts = np.bincount(slot, minlength=width)
+            row += np.bincount(bucket, minlength=width)
         else:
             # float64 sums of int64 weights < 2**53 stay exact.
-            counts = np.bincount(slot, weights=wf,
-                                 minlength=width).astype(np.int64)
-        table[r] += counts
+            row += np.bincount(bucket, weights=wf,
+                               minlength=width).astype(np.int64)
 
 
 class CountMinSketch(Sketch):
     """A ``rows x width`` Count-Min sketch over integer keys."""
 
     __slots__ = ("rows", "width", "seed", "conservative", "counter_bytes",
-                 "table", "_hashes", "_packed")
+                 "table", "_family")
 
     def __init__(self, rows: int, width: int, seed: Optional[int] = None,
                  conservative: bool = False, counter_bytes: int = 4) -> None:
@@ -73,12 +88,10 @@ class CountMinSketch(Sketch):
         self.conservative = conservative
         self.counter_bytes = counter_bytes
         self.table = np.zeros((rows, width), dtype=np.int64)
-        self._hashes: List[TabulationHash] = \
-            list(tabulation_family(seed, rows))
-        self._packed = None
+        self._family = tabulation_family(seed, rows)
 
     def _buckets(self, key: int) -> List[int]:
-        return [h(key) % self.width for h in self._hashes]
+        return [h(key) % self.width for h in self._family.hashes]
 
     def update(self, key: int, weight: int = 1) -> None:
         buckets = self._buckets(key)
@@ -97,8 +110,8 @@ class CountMinSketch(Sketch):
                      weights: Optional[np.ndarray] = None) -> None:
         """Vectorised bulk update (plain, non-conservative semantics).
 
-        Hashes every row in one 2-D tabulation pass and accumulates with
-        a single flattened ``np.bincount`` (see ``CountSketch``)."""
+        Hashes every row in one gather (:func:`_row_buckets`) and
+        accumulates each row with one ``np.bincount``."""
         if weights is not None:
             weights = np.asarray(weights).astype(np.int64, copy=False)
         if self.conservative:
@@ -112,26 +125,8 @@ class CountMinSketch(Sketch):
             return
         if len(keys) == 0:
             return
-        if self._packed is None:
-            self._packed = _packed_bucket_state(self._hashes, self.rows,
-                                                self.width)
-        packed, field_bits = self._packed
-        if packed is not None:
-            _bincount_rows(self.table, gather_packed(packed, keys),
-                           field_bits, weights)
-            return
-        v = TabulationHash.hash_matrix(self._hashes, keys)      # (rows, n)
-        buckets = (v % np.uint64(self.width)).astype(np.int64)
-        slots = buckets + (np.arange(self.rows, dtype=np.int64)[:, None]
-                           * self.width)
-        if weights is None:
-            counts = np.bincount(slots.ravel(),
-                                 minlength=self.rows * self.width)
-        else:
-            tiled = np.broadcast_to(weights, (self.rows, len(keys)))
-            counts = np.bincount(slots.ravel(), weights=tiled.ravel(),
-                                 minlength=self.rows * self.width)
-        self.table += counts.astype(np.int64).reshape(self.rows, self.width)
+        _add_rows(self.table, _row_buckets(self._family, self.width, keys),
+                  weights)
 
     def query(self, key: int) -> int:
         """Point estimate: min over rows (never underestimates for
@@ -141,11 +136,8 @@ class CountMinSketch(Sketch):
 
     def query_many(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)
-        estimates = np.empty((self.rows, len(keys)), dtype=np.int64)
-        for r, h in enumerate(self._hashes):
-            buckets = (h.hash_array(keys) % np.uint64(self.width)).astype(np.intp)
-            estimates[r] = self.table[r, buckets]
-        return estimates.min(axis=0)
+        buckets = _row_buckets(self._family, self.width, keys)
+        return np.take_along_axis(self.table, buckets, axis=1).min(axis=0)
 
     def l1_estimate(self) -> int:
         """Total stream weight (exact for non-negative streams: row sum)."""
@@ -177,8 +169,7 @@ class CountMinSketch(Sketch):
         out.conservative = False
         out.counter_bytes = self.counter_bytes
         out.table = self.table + other.table
-        out._hashes = self._hashes
-        out._packed = self._packed
+        out._family = self._family
         return out
 
     def memory_bytes(self) -> int:

@@ -15,25 +15,20 @@ seeds, takes the counter-wise difference, and reports keys whose estimated
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, IncompatibleSketchError
-from repro.hashing.tabulation import (
-    TabulationHash,
-    gather_packed,
-    tabulation_family,
-)
-from repro.sketches.countmin import _bincount_rows, _packed_bucket_state
+from repro.hashing.tabulation import tabulation_family
+from repro.sketches.countmin import _add_rows, _row_buckets
 from repro.sketches.base import Sketch, UpdateCost
 
 
 class KArySketch(Sketch):
     """A ``rows x width`` k-ary sketch over integer keys."""
 
-    __slots__ = ("rows", "width", "seed", "counter_bytes", "table", "_hashes",
-                 "_packed")
+    __slots__ = ("rows", "width", "seed", "counter_bytes", "table", "_family")
 
     def __init__(self, rows: int, width: int, seed: Optional[int] = None,
                  counter_bytes: int = 4) -> None:
@@ -45,42 +40,22 @@ class KArySketch(Sketch):
         self.seed = seed
         self.counter_bytes = counter_bytes
         self.table = np.zeros((rows, width), dtype=np.int64)
-        self._hashes: List[TabulationHash] = \
-            list(tabulation_family(seed, rows))
-        self._packed = None
+        self._family = tabulation_family(seed, rows)
 
     def update(self, key: int, weight: int = 1) -> None:
-        for r, h in enumerate(self._hashes):
+        for r, h in enumerate(self._family.hashes):
             self.table[r, h(key) % self.width] += weight
 
     def update_array(self, keys: np.ndarray,
                      weights: Optional[np.ndarray] = None) -> None:
-        """Bulk update: one fused XOR-gather + per-row ``bincount`` (see
-        ``CountSketch.update_array``), with a 2-D hash fallback."""
+        """Bulk update: every row hashed in one gather
+        (``countmin._row_buckets``), then one ``bincount`` per row."""
         if len(keys) == 0:
             return
         if weights is not None:
             weights = np.asarray(weights).astype(np.int64, copy=False)
-        if self._packed is None:
-            self._packed = _packed_bucket_state(self._hashes, self.rows,
-                                                self.width)
-        packed, field_bits = self._packed
-        if packed is not None:
-            _bincount_rows(self.table, gather_packed(packed, keys),
-                           field_bits, weights)
-            return
-        v = TabulationHash.hash_matrix(self._hashes, keys)      # (rows, n)
-        buckets = (v % np.uint64(self.width)).astype(np.int64)
-        slots = buckets + (np.arange(self.rows, dtype=np.int64)[:, None]
-                           * self.width)
-        if weights is None:
-            counts = np.bincount(slots.ravel(),
-                                 minlength=self.rows * self.width)
-        else:
-            tiled = np.broadcast_to(weights, (self.rows, len(keys)))
-            counts = np.bincount(slots.ravel(), weights=tiled.ravel(),
-                                 minlength=self.rows * self.width)
-        self.table += counts.astype(np.int64).reshape(self.rows, self.width)
+        _add_rows(self.table, _row_buckets(self._family, self.width, keys),
+                  weights)
 
     def total(self) -> int:
         """Total stream weight S (row 0's sum; identical across rows)."""
@@ -91,7 +66,7 @@ class KArySketch(Sketch):
         s = float(self.total())
         w = self.width
         estimates = np.empty(self.rows, dtype=np.float64)
-        for r, h in enumerate(self._hashes):
+        for r, h in enumerate(self._family.hashes):
             v = float(self.table[r, h(key) % w])
             estimates[r] = (v - s / w) / (1.0 - 1.0 / w)
         return float(np.median(estimates))
@@ -100,11 +75,9 @@ class KArySketch(Sketch):
         keys = np.asarray(keys, dtype=np.uint64)
         s = float(self.total())
         w = self.width
-        estimates = np.empty((self.rows, len(keys)), dtype=np.float64)
-        for r, h in enumerate(self._hashes):
-            buckets = (h.hash_array(keys) % np.uint64(w)).astype(np.intp)
-            estimates[r] = (self.table[r, buckets] - s / w) / (1.0 - 1.0 / w)
-        return np.median(estimates, axis=0)
+        counters = np.take_along_axis(
+            self.table, _row_buckets(self._family, w, keys), axis=1)
+        return np.median((counters - s / w) / (1.0 - 1.0 / w), axis=0)
 
     def f2_estimate(self) -> float:
         """Unbiased F2 estimate from a single k-ary sketch row set."""
@@ -121,8 +94,7 @@ class KArySketch(Sketch):
         out.rows, out.width, out.seed = self.rows, self.width, self.seed
         out.counter_bytes = self.counter_bytes
         out.table = self.table - other.table
-        out._hashes = self._hashes
-        out._packed = self._packed
+        out._family = self._family
         return out
 
     def merge(self, other: "KArySketch") -> "KArySketch":
@@ -131,8 +103,7 @@ class KArySketch(Sketch):
         out.rows, out.width, out.seed = self.rows, self.width, self.seed
         out.counter_bytes = self.counter_bytes
         out.table = self.table + other.table
-        out._hashes = self._hashes
-        out._packed = self._packed
+        out._family = self._family
         return out
 
     def _check_compatible(self, other: "KArySketch") -> None:

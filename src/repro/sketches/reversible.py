@@ -27,7 +27,62 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, IncompatibleSketchError
-from repro.sketches.base import Sketch, UpdateCost
+from repro.sketches.base import Sketch, UpdateCost, check_batch
+
+#: Per-piece hash tables and preimage maps of seeded sketches, by
+#: ``(rows, chunk_bits, bucket_bits_per_chunk, seed)``: every epoch
+#: builds fresh equal-seed sketches (and each subtract one more), and
+#: the tables depend on nothing else.  Bounded like the tabulation
+#: family cache: it clears rather than grows past its bound.
+_TABLE_CACHE: dict = {}
+_TABLE_CACHE_MAX = 64
+
+_Preimages = List[List[Dict[int, List[int]]]]
+
+
+def _build_tables(rows: int, chunks: int, chunk_bits: int,
+                  bucket_bits: int, seed: Optional[int]
+                  ) -> Tuple[np.ndarray, _Preimages]:
+    """``random.Random(seed)``'s piece-hash tables, ``(rows, chunks,
+    2**chunk_bits)`` (drawn row by row, chunk by chunk, piece value by
+    piece value), and per ``(row, chunk)`` the map from hash value to
+    the piece values that hash to it, in increasing order."""
+    rng = random.Random(seed)
+    chunk_values = 1 << chunk_bits
+    draws = [rng.getrandbits(bucket_bits)
+             for _ in range(rows * chunks * chunk_values)]
+    tables = np.array(draws, dtype=np.int64).reshape(rows, chunks,
+                                                     chunk_values)
+    tables.flags.writeable = False
+    preimages: _Preimages = []
+    for row in tables.tolist():
+        row_pre = []
+        for chunk in row:
+            buckets: Dict[int, List[int]] = {}
+            for v, hash_value in enumerate(chunk):
+                buckets.setdefault(hash_value, []).append(v)
+            row_pre.append(buckets)
+        preimages.append(row_pre)
+    return tables, preimages
+
+
+def _modular_tables(rows: int, chunks: int, chunk_bits: int,
+                    bucket_bits: int, seed: Optional[int]
+                    ) -> Tuple[np.ndarray, _Preimages]:
+    """:func:`_build_tables`, memoised for seeded sketches.  Shared
+    read-only: the table array is not writeable, and no sketch mutates
+    the preimage maps.  ``seed=None`` means fresh randomness and is
+    never cached."""
+    if seed is None:
+        return _build_tables(rows, chunks, chunk_bits, bucket_bits, None)
+    key = (rows, chunk_bits, bucket_bits, int(seed))
+    cached = _TABLE_CACHE.get(key)
+    if cached is None:
+        if len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
+            _TABLE_CACHE.clear()
+        cached = _TABLE_CACHE[key] = _build_tables(
+            rows, chunks, chunk_bits, bucket_bits, seed)
+    return cached
 
 
 class ReversibleSketch(Sketch):
@@ -61,27 +116,11 @@ class ReversibleSketch(Sketch):
         self.chunks = 32 // chunk_bits
         self.width = 1 << (self.chunks * bucket_bits_per_chunk)
         self.seed = seed
-        rng = random.Random(seed)
-        # Per (row, chunk): a lookup table mapping piece value -> hash.
-        chunk_values = 1 << chunk_bits
-        self._tables = np.empty((rows, self.chunks, chunk_values),
-                                dtype=np.int64)
-        for r in range(rows):
-            for c in range(self.chunks):
-                for v in range(chunk_values):
-                    self._tables[r, c, v] = rng.getrandbits(
-                        bucket_bits_per_chunk)
+        # Per (row, chunk): a lookup table mapping piece value -> hash,
+        # and per (row, chunk, hash value) the piece values behind it.
+        self._tables, self._preimages = _modular_tables(
+            rows, self.chunks, chunk_bits, bucket_bits_per_chunk, seed)
         self.table = np.zeros((rows, self.width), dtype=np.int64)
-        # Preimages: per (row, chunk, hash value) -> list of piece values.
-        self._preimages: List[List[Dict[int, List[int]]]] = []
-        for r in range(rows):
-            row_pre = []
-            for c in range(self.chunks):
-                buckets: Dict[int, List[int]] = {}
-                for v in range(chunk_values):
-                    buckets.setdefault(int(self._tables[r, c, v]), []).append(v)
-                row_pre.append(buckets)
-            self._preimages.append(row_pre)
 
     # ------------------------------------------------------------------ #
     # hashing
@@ -119,11 +158,17 @@ class ReversibleSketch(Sketch):
 
     def update_array(self, keys: np.ndarray,
                      weights: Optional[np.ndarray] = None) -> None:
-        keys = np.asarray(keys, dtype=np.uint64)
-        if weights is None:
-            weights = np.ones(len(keys), dtype=np.int64)
-        for r in range(self.rows):
-            np.add.at(self.table[r], self._buckets_array(r, keys), weights)
+        """Bulk :meth:`update`: one ``np.bincount`` per row.  Weights
+        truncate per element, like the scalar path's ``int(w)``."""
+        keys = check_batch(keys, weights)
+        if weights is not None:
+            # float64 sums of int64 weights < 2**53 stay exact.
+            weights = np.asarray(weights).astype(np.int64, copy=False) \
+                .astype(np.float64)
+        for r, row in enumerate(self.table):
+            counts = np.bincount(self._buckets_array(r, keys),
+                                 weights=weights, minlength=self.width)
+            row += counts.astype(np.int64, copy=False)
 
     def query(self, key: int) -> float:
         """Point estimate (k-ary style unbiased median over rows)."""

@@ -3,10 +3,17 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing.tabulation import TabulationHash
+from repro.hashing import tabulation
+from repro.hashing.tabulation import (
+    TabulationHash,
+    gather_packed,
+    pack_tabulation_fields,
+    tabulation_family,
+)
 
 KEYS64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -74,3 +81,159 @@ class TestTabulationHash:
         rng = random.Random(0)
         h1, h2 = TabulationHash(rng=rng), TabulationHash(rng=rng)
         assert any(h1(x) != h2(x) for x in range(16))
+
+
+# --------------------------------------------------------------------- #
+# Multi-row kernels and the per-family memo
+# --------------------------------------------------------------------- #
+
+#: Edge-case keys: both extremes, every byte equal (the stacked gather
+#: reads the same table row at all 8 positions), alternating bytes.
+EDGE_KEYS = [0, (1 << 64) - 1, 0x0101010101010101, 0x5A5A5A5A5A5A5A5A,
+             0xFF00FF00FF00FF00, 0x00000000000000FF, 1 << 63]
+
+
+def _key_arrays():
+    """``(name, keys)`` inputs for the bulk kernels: the edge keys, a
+    random batch, one key, no keys, an ``int64`` array (negative values
+    hash as their two's-complement ``uint64``) and a strided view."""
+    rng = np.random.default_rng(11)
+    random_keys = rng.integers(0, 1 << 64, 300, dtype=np.uint64)
+    return [
+        ("edge", np.array(EDGE_KEYS, dtype=np.uint64)),
+        ("random", random_keys),
+        ("single", np.array([0xDEADBEEF], dtype=np.uint64)),
+        ("empty", np.array([], dtype=np.uint64)),
+        ("int64", np.array([-1, -2, 0, 7, -(1 << 63)], dtype=np.int64)),
+        ("strided", random_keys[::3]),
+    ]
+
+
+def _scalar(h, keys):
+    return [h(int(x) & ((1 << 64) - 1)) for x in keys.tolist()]
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty family cache for the test, restored afterwards."""
+    monkeypatch.setattr(tabulation, "_FAMILY_CACHE", {})
+    return tabulation
+
+
+class TestHashMatrix:
+    @pytest.mark.parametrize("rows", range(1, 9))
+    @pytest.mark.parametrize("name,keys", _key_arrays())
+    def test_stacked_gather_matches_per_row(self, rows, name, keys):
+        family = tabulation_family(100 + rows, rows)
+        matrix = family.hash_matrix(keys)
+        assert matrix.shape == (rows, len(keys))
+        assert matrix.dtype == np.uint64
+        for h, got in zip(family.hashes, matrix):
+            assert got.tolist() == h.hash_array(keys).tolist()
+            assert got.tolist() == _scalar(h, keys)
+
+    def test_hash_tables_are_views_of_the_stacked_table(self):
+        family = tabulation_family(21, 5)
+        assert family.stacked.shape == (8, 256, 5)
+        for r, h in enumerate(family.hashes):
+            assert np.shares_memory(h._np_tables, family.stacked)
+            assert np.array_equal(h._np_tables, family.stacked[:, :, r])
+            assert np.array_equal(h._np_tables, np.array(h._tables,
+                                                         dtype=np.uint64))
+        assert not family.stacked.flags.writeable
+
+
+class TestGatherPacked:
+    #: 8-bit fields: up to 7 rows pack into one 63-bit word, 8 do not.
+    FIELD_BITS = 8
+
+    @pytest.mark.parametrize("rows", range(1, 9))
+    @pytest.mark.parametrize("name,keys", _key_arrays())
+    def test_fused_fields_match_per_row(self, rows, name, keys):
+        family = tabulation_family(200 + rows, rows)
+
+        def field_of(t):
+            return t & np.uint64(0xFF)
+
+        if rows * self.FIELD_BITS > 63:
+            with pytest.raises(ValueError):
+                pack_tabulation_fields(family.hashes, field_of,
+                                       self.FIELD_BITS)
+            return
+        packed = pack_tabulation_fields(family.hashes, field_of,
+                                        self.FIELD_BITS)
+        words = gather_packed(packed, keys)
+        assert words.dtype == np.int64 and len(words) == len(keys)
+        for r, h in enumerate(family.hashes):
+            got = (words >> np.int64(r * self.FIELD_BITS)) & np.int64(0xFF)
+            want = [v & 0xFF for v in _scalar(h, keys)]
+            assert got.tolist() == want
+
+
+class TestFamilyMemo:
+    def test_equal_seeds_share_one_family(self, fresh_cache):
+        a, b = tabulation_family(5, 4), tabulation_family(5, 4)
+        assert a is b
+        assert tabulation_family(5, 3) is not a
+        assert tabulation_family(6, 4) is not a
+
+    def test_equal_seed_sketches_share_derived_tables(self, fresh_cache):
+        from repro.hashing.sampling import LevelSampler
+        from repro.sketches.countmin import CountMinSketch
+        from repro.sketches.countsketch import CountSketch
+        from repro.sketches.kary import KArySketch
+
+        keys = np.arange(50, dtype=np.uint64)
+        a, b = CountSketch(5, 256, seed=3), CountSketch(5, 256, seed=3)
+        assert a._family is b._family
+        assert a._packed_state()[0] is b._packed_state()[0]
+        assert not a._packed_state()[0].flags.writeable
+        assert CountSketch(5, 128, seed=3)._packed_state()[0] \
+            is not a._packed_state()[0]
+        # Count-Min and k-ary fuse the same bucket fields: one table.
+        cm, ks = CountMinSketch(4, 256, seed=9), KArySketch(4, 256, seed=9)
+        cm.update_array(keys)
+        ks.update_array(keys)
+        assert cm._family is ks._family
+        assert list(cm._family._derived) == [("bucket", 256)]
+        s1, s2 = LevelSampler(12, seed=8), LevelSampler(12, seed=8)
+        assert s1._packed_parity() is s2._packed_parity()
+
+    def test_decoded_frame_shares_the_memoised_tables(self, fresh_cache):
+        from repro.core.universal import UniversalSketch
+        from repro.network.codec import DeltaDecoder, DeltaEncoder
+
+        sketch = UniversalSketch(levels=3, rows=3, width=64, heap_size=8,
+                                 seed=17)
+        sketch.update_array(np.arange(1000, dtype=np.uint64) % 97)
+        decoded = DeltaDecoder().decode(DeltaEncoder().encode(sketch))
+        assert decoded.sampler._family is sketch.sampler._family
+        assert decoded.sampler._packed_parity() \
+            is sketch.sampler._packed_parity()
+        for mine, theirs in zip(sketch.levels, decoded.levels):
+            assert theirs.sketch._family is mine.sketch._family
+            assert theirs.sketch._packed_state()[0] \
+                is mine.sketch._packed_state()[0]
+
+    def test_unseeded_families_never_enter_the_memo(self, fresh_cache):
+        a = tabulation_family(None, 3)
+        b = tabulation_family(None, 3)
+        assert fresh_cache._FAMILY_CACHE == {}
+        assert a is not b
+        assert a.hashes[0](12345) != b.hashes[0](12345)
+        table = a.derived("t", lambda hashes: np.zeros(1))
+        assert b.derived("t", lambda hashes: np.ones(1)) is not table
+
+    def test_memo_clears_at_its_bound(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(fresh_cache, "_FAMILY_CACHE_MAX", 3)
+        first = tabulation_family(0, 2)
+        first.derived("t", lambda hashes: np.zeros(1))
+        for seed in (1, 2):
+            tabulation_family(seed, 2)
+        assert len(fresh_cache._FAMILY_CACHE) == 3
+        tabulation_family(3, 2)          # over the bound: cleared first
+        assert len(fresh_cache._FAMILY_CACHE) == 1
+        again = tabulation_family(0, 2)  # rebuilt, with a fresh memo
+        assert again is not first
+        assert again._derived == {}
+        assert np.array_equal(again.stacked, first.stacked)

@@ -56,8 +56,9 @@ class TestPointQuery:
 
     def test_query_many_matches_scalar(self):
         # A power-of-two width takes the packed bulk path, any other
-        # width the generic one; odd rows have a single middle value.
-        for rows, width in ((4, 128), (5, 125)):
+        # width the generic one; odd rows have a single middle value,
+        # even rows average the two middle values.
+        for rows, width in ((4, 128), (5, 125), (6, 125)):
             cs = CountSketch(rows=rows, width=width, seed=4)
             _fill(cs, {k: 3 * k for k in range(1, 30)})
             keys = np.arange(1, 30, dtype=np.uint64)

@@ -49,6 +49,93 @@ class TestModularHashing:
             b.update(int(k))
         assert np.array_equal(a.table, b.table)
 
+    def test_weighted_bulk_matches_scalar(self):
+        a, b = make(seed=4), make(seed=4)
+        rng = np.random.default_rng(3)
+        keys = rng.integers(0, 1 << 32, size=500, dtype=np.uint64)
+        keys[::7] = 0xAABBCCDD              # repeated keys sum
+        weights = rng.uniform(-50.0, 1500.0, size=len(keys))
+        a.update_array(keys, weights)
+        for k, w in zip(keys.tolist(), weights.tolist()):
+            b.update(int(k), int(w))        # truncates, like the bulk path
+        assert np.array_equal(a.table, b.table)
+
+    def test_bulk_rejects_malformed_batch(self):
+        rs = make()
+        with pytest.raises(ConfigurationError):
+            rs.update_array(np.arange(4, dtype=np.uint64), np.ones(3))
+        with pytest.raises(ConfigurationError):
+            rs.update_array(np.arange(2, dtype=np.uint64),
+                            np.array([1.0, np.nan]))
+        assert not rs.table.any()
+
+
+def _loop_tables(rows, chunk_bits, bucket_bits, seed):
+    """The tables as the sketch built them one entry at a time before
+    they were memoised: the reference the cached build must equal."""
+    import random
+    rng = random.Random(seed)
+    chunks = 32 // chunk_bits
+    chunk_values = 1 << chunk_bits
+    tables = np.empty((rows, chunks, chunk_values), dtype=np.int64)
+    for r in range(rows):
+        for c in range(chunks):
+            for v in range(chunk_values):
+                tables[r, c, v] = rng.getrandbits(bucket_bits)
+    preimages = []
+    for r in range(rows):
+        row_pre = []
+        for c in range(chunks):
+            buckets = {}
+            for v in range(chunk_values):
+                buckets.setdefault(int(tables[r, c, v]), []).append(v)
+            row_pre.append(buckets)
+        preimages.append(row_pre)
+    return tables, preimages
+
+
+class TestTableCache:
+    @pytest.mark.parametrize("rows,chunk_bits,bucket_bits,seed", [
+        (4, 8, 3, 7), (4, 8, 3, 1000), (2, 4, 2, 5), (1, 16, 2, 9)])
+    def test_cached_tables_equal_loop_build(self, rows, chunk_bits,
+                                            bucket_bits, seed):
+        tables, preimages = _loop_tables(rows, chunk_bits, bucket_bits,
+                                         seed)
+        for rs in (ReversibleSketch(rows, chunk_bits, bucket_bits, seed),
+                   ReversibleSketch(rows, chunk_bits, bucket_bits, seed)):
+            assert np.array_equal(rs._tables, tables)
+            assert rs._preimages == preimages
+
+    def test_equal_seeds_share_tables_not_counters(self):
+        a, b = make(seed=12), make(seed=12)
+        assert a._tables is b._tables and a._preimages is b._preimages
+        assert not a._tables.flags.writeable
+        a.update(0xC0A80001, 40)
+        assert a.table.sum() == 4 * 40 and not b.table.any()
+        diff = a.subtract(b)
+        assert diff._tables is a._tables
+        assert diff.table is not a.table
+        assert np.array_equal(diff.table, a.table)
+
+    def test_unseeded_sketches_are_not_cached(self, monkeypatch):
+        from repro.sketches import reversible
+        monkeypatch.setattr(reversible, "_TABLE_CACHE", {})
+        a, b = ReversibleSketch(seed=None), ReversibleSketch(seed=None)
+        assert reversible._TABLE_CACHE == {}
+        assert not np.array_equal(a._tables, b._tables)
+
+    def test_cache_clears_at_its_bound(self, monkeypatch):
+        from repro.sketches import reversible
+        monkeypatch.setattr(reversible, "_TABLE_CACHE", {})
+        monkeypatch.setattr(reversible, "_TABLE_CACHE_MAX", 2)
+        first = make(seed=1)
+        make(seed=2)
+        make(seed=3)                        # over the bound: cleared first
+        assert len(reversible._TABLE_CACHE) == 1
+        again = make(seed=1)
+        assert again._tables is not first._tables
+        assert np.array_equal(again._tables, first._tables)
+
 
 class TestQueries:
     def test_point_query_sparse(self):
