@@ -13,7 +13,9 @@ and >= 2x for ``UniversalSketch.update_array``.  ``test_speedup_hash_kernel``
 pins the stacked-table ``TabulationFamily.hash_matrix`` (the hashing
 behind every Count Sketch, Count-Min and k-ary sketch whose width is not
 a power of two) against a frozen copy of the per-row gather loop it
-replaced.  ``test_sharded_crossover``
+replaced, and ``test_speedup_topk_offer`` pins the array-backed
+``TopK.offer_many`` against a frozen copy of the dict-and-``heapq``
+heap it replaced.  ``test_sharded_crossover``
 sweeps serial ingest (one ``update_array`` per stream, what
 ``process_trace(workers=1)`` runs) against ``ShardWorkerPool.run_epoch``
 (what ``process_trace(workers=k)`` runs) across stream sizes to locate
@@ -21,6 +23,7 @@ the point where the persistent worker pool overtakes one busy core.
 Results are written to ``benchmarks/results/BENCH_throughput.json``.
 """
 
+import heapq
 import json
 import os
 import platform
@@ -45,6 +48,7 @@ from repro.sketches.countmin import CountMinSketch
 from repro.sketches.countsketch import CountSketch
 from repro.sketches.hyperloglog import HyperLogLog
 from repro.sketches.kary import KArySketch
+from repro.sketches.topk import TopK
 
 
 _RESULTS = {}
@@ -115,6 +119,98 @@ def _baseline_level_update(level, keys):
     order = np.argsort(np.abs(estimates))
     for i in order:
         level.topk.offer(int(uniq[i]), float(estimates[i]))
+
+
+class _BaselineTopK:
+    """The dict plus lazily pruned ``heapq`` list ``TopK`` was before it
+    became two arrays (the parts the baselines call)."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._estimates = {}
+        self._heap = []  # (|estimate|, key), stale ok
+        self.offers = 0
+        self.evictions = 0
+        self.rejections = 0
+
+    def offer(self, key, estimate):
+        est = self._estimates
+        rank = abs(estimate)
+        self.offers += 1
+        if key in est:
+            est[key] = estimate
+            heapq.heappush(self._heap, (rank, key))
+            return True
+        if len(est) < self.capacity:
+            est[key] = estimate
+            heapq.heappush(self._heap, (rank, key))
+            return True
+        min_key, min_rank = self.min()
+        if rank <= min_rank:
+            self.rejections += 1
+            return False
+        del est[min_key]
+        self.evictions += 1
+        est[key] = estimate
+        heapq.heappush(self._heap, (rank, key))
+        return True
+
+    def offer_many(self, keys, estimates, sorted_keys=False):
+        keys = np.asarray(keys, dtype=np.uint64)
+        estimates = np.asarray(estimates, dtype=np.float64)
+        if len(keys) == 0:
+            return
+        self.offers += len(keys)
+        prev_keys = []
+        est = self._estimates
+        if est:
+            old_keys = np.fromiter(est.keys(), dtype=np.uint64,
+                                   count=len(est))
+            prev_keys = old_keys.tolist()
+            if sorted_keys:
+                pos = np.searchsorted(keys, old_keys)
+                pos[pos == len(keys)] = 0
+                kept = old_keys[keys[pos] != old_keys]
+            else:
+                kept = old_keys[~np.isin(old_keys, keys)]
+            if len(kept):
+                old_ests = np.array([est[int(k)] for k in kept],
+                                    dtype=np.float64)
+                keys = np.concatenate([keys, kept])
+                estimates = np.concatenate([estimates, old_ests])
+        candidates = len(keys)
+        ranks = np.abs(estimates)
+        if len(keys) > self.capacity:
+            cut = len(keys) - self.capacity
+            top = np.argpartition(ranks, cut)[cut:]
+            keys, estimates, ranks = keys[top], estimates[top], ranks[top]
+        order = np.argsort(ranks, kind="stable")
+        self._estimates = {
+            int(keys[i]): float(estimates[i]) for i in order
+        }
+        self._heap = [(float(ranks[i]), int(keys[i])) for i in order]
+        dropped = candidates - len(self._estimates)
+        if dropped:
+            evicted = sum(1 for k in prev_keys if k not in self._estimates)
+            self.evictions += evicted
+            self.rejections += dropped - evicted
+
+    def min(self):
+        est = self._estimates
+        heap = self._heap
+        while heap:
+            rank, key = heap[0]
+            current = est.get(key)
+            if current is not None and abs(current) == rank:
+                return key, rank
+            heapq.heappop(heap)  # stale entry
+        self._heap = [(abs(v), k) for k, v in est.items()]
+        heapq.heapify(self._heap)
+        rank, key = self._heap[0]
+        return key, rank
+
+    def items(self):
+        return sorted(self._estimates.items(), key=lambda kv: -abs(kv[1]))
 
 
 def _baseline_universal_update(u, keys):
@@ -214,10 +310,65 @@ def test_speedup_hash_kernel():
             f"loop at {n} keys (need >= {point['floor']}x)")
 
 
+#: Heap capacity -> the floor ``offer_many`` must meet there.
+TOPK_OFFER_FLOORS = {64: 1.5, 256: 3.0, 512: 3.0}
+
+
+def test_speedup_topk_offer():
+    """Array-backed ``TopK.offer_many`` of 1,400 sorted distinct keys
+    (one switch_zipf epoch's addresses) into a half-full heap: >= 1.5x
+    the dict-and-heapq heap at capacity 64, >= 3x at 256 and 512."""
+    gen = np.random.default_rng(9)
+    keys = np.unique(gen.integers(0, 1 << 32, 4_000, dtype=np.uint64))
+    keys = np.sort(gen.choice(keys, 1_400, replace=False))
+    estimates = gen.standard_normal(1_400) * 1e3
+    repeats = 200
+    by_capacity = {}
+    for capacity, floor in TOPK_OFFER_FLOORS.items():
+        # Half the tracked keys come back in the batch, as heavy keys
+        # recur from one batch to the next.
+        tracked = np.sort(np.concatenate([
+            gen.choice(keys, capacity // 4, replace=False),
+            gen.integers(1 << 32, 1 << 33, capacity // 4, dtype=np.uint64)]))
+        tracked_ests = gen.standard_normal(len(tracked)) * 1e3
+
+        def half_full(cls):
+            heap = cls(capacity)
+            heap.offer_many(tracked, tracked_ests, sorted_keys=True)
+            return heap
+
+        def seconds(cls):
+            heaps = iter([half_full(cls) for _ in range(repeats + 1)])
+            return _best_seconds(lambda: next(heaps).offer_many(
+                keys, estimates, sorted_keys=True), repeats)
+
+        new, old = half_full(TopK), half_full(_BaselineTopK)
+        new.offer_many(keys, estimates, sorted_keys=True)
+        old.offer_many(keys, estimates, sorted_keys=True)
+        assert new.items() == old.items()
+        assert (new.evictions, new.rejections) == \
+            (old.evictions, old.rejections)
+        t_new, t_old = seconds(TopK), seconds(_BaselineTopK)
+        by_capacity[str(capacity)] = {
+            "new_us": round(t_new * 1e6, 1),
+            "baseline_us": round(t_old * 1e6, 1),
+            "speedup": round(t_old / t_new, 2),
+            "floor": floor,
+        }
+    _RESULTS["topk_offer"] = {"keys": 1_400, "host": _host_stamp(),
+                              "by_capacity": by_capacity}
+    for capacity, point in by_capacity.items():
+        assert point["speedup"] >= point["floor"], (
+            f"array offer_many is {point['speedup']:.2f}x the dict heap "
+            f"at capacity {capacity} (need >= {point['floor']}x)")
+
+
 def test_speedup_universal_bulk(keys):
     """Aggregate-once ingest + packed sketches + bulk heap merge >= 2x."""
     new = UniversalSketch(levels=8, rows=5, width=2048, heap_size=64, seed=1)
     old = UniversalSketch(levels=8, rows=5, width=2048, heap_size=64, seed=1)
+    for level in old.levels:  # the baseline pays the old heap's cost
+        level.topk = _BaselineTopK(level.topk.capacity)
     t_new = _best_seconds(lambda: new.update_array(keys), repeats=5)
     t_old = _best_seconds(lambda: _baseline_universal_update(old, keys),
                           repeats=5)

@@ -52,23 +52,18 @@ BATCH_SIZE_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64)
 def _level_arrays(level) -> Tuple[np.ndarray, np.ndarray]:
     """One level's heap as (keys, signed weights), largest |w| first.
 
-    Ordering matches ``TopK.items()`` — a stable descending sort on
-    magnitude over dict-insertion order — so G-core output from a
-    snapshot is byte-identical to the scalar heap walk.
+    The order is ``TopK.items()``'s (:meth:`~repro.sketches.topk.TopK.ranked`),
+    so G-core output from a snapshot is byte-identical to the scalar
+    heap walk.
     """
     topk = getattr(level, "topk", None)
     if topk is not None:
-        est = topk._estimates
-        n = len(est)
-        keys = np.fromiter(est.keys(), dtype=np.uint64, count=n)
-        weights = np.fromiter(est.values(), dtype=np.float64, count=n)
-    else:  # duck-typed levels in tests: fall back to the public walk
-        items = level.heavy_hitters()
-        keys = np.array([k for k, _ in items], dtype=np.uint64)
-        weights = np.array([w for _, w in items], dtype=np.float64)
-        return keys, weights
-    order = np.argsort(-np.abs(weights), kind="stable")
-    return keys[order], weights[order]
+        return topk.ranked()
+    # duck-typed levels in tests: fall back to the public walk
+    items = level.heavy_hitters()
+    keys = np.array([k for k, _ in items], dtype=np.uint64)
+    weights = np.array([w for _, w in items], dtype=np.float64)
+    return keys, weights
 
 
 class QuerySnapshot:

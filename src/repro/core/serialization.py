@@ -19,7 +19,6 @@ for a 5-second polling cadence.
 from __future__ import annotations
 
 import io
-import math
 import struct
 from typing import BinaryIO, Union
 
@@ -48,6 +47,9 @@ MAX_LEVELS = 64
 MAX_ROWS = 512
 MAX_WIDTH = 1 << 24
 MAX_HEAP = 1 << 20
+
+#: One heap entry on the wire: ``struct`` format ``"<Qd"``.
+_HEAP_ENTRY = np.dtype([("key", "<u8"), ("estimate", "<f8")])
 
 
 def _check_range(name: str, value: int, lo: int, hi: int) -> int:
@@ -105,10 +107,12 @@ def _read_exact(buf: BinaryIO, n: int) -> bytes:
 
 
 def _write_topk(out: BinaryIO, topk: TopK) -> None:
-    items = topk.items()
-    out.write(struct.pack("<II", topk.capacity, len(items)))
-    for key, estimate in items:
-        out.write(struct.pack("<Qd", key, estimate))
+    keys, estimates = topk.ranked()
+    block = np.empty(len(keys), dtype=_HEAP_ENTRY)
+    block["key"] = keys
+    block["estimate"] = estimates
+    out.write(struct.pack("<II", topk.capacity, len(block)))
+    out.write(block.tobytes())
 
 
 def _read_topk(buf: BinaryIO, heap_size: int) -> TopK:
@@ -121,18 +125,24 @@ def _read_topk(buf: BinaryIO, heap_size: int) -> TopK:
         raise TraceFormatError(
             f"corrupt sketch payload: heap holds {count} items but its "
             f"capacity is {capacity}")
-    topk = TopK(capacity)
-    for _ in range(count):
-        key, estimate = struct.unpack("<Qd", _read_exact(buf, 16))
-        if not math.isfinite(estimate):
-            raise TraceFormatError(
-                f"corrupt sketch payload: heap estimate {estimate} for "
-                f"key {key} is not finite")
-        if key in topk:
-            raise TraceFormatError(
-                f"corrupt sketch payload: heap lists key {key} twice")
-        topk.offer(key, estimate)
-    return topk
+    block = np.frombuffer(_read_exact(buf, count * _HEAP_ENTRY.itemsize),
+                          dtype=_HEAP_ENTRY)
+    # astype copies: the heap owns writable arrays, not payload views.
+    keys = block["key"].astype(np.uint64)
+    estimates = block["estimate"].astype(np.float64)
+    finite = np.isfinite(estimates)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise TraceFormatError(
+            f"corrupt sketch payload: heap estimate {estimates[i]} for "
+            f"key {keys[i]} is not finite")
+    ordered = np.sort(keys)
+    twice = ordered[1:] == ordered[:-1]
+    if twice.any():
+        raise TraceFormatError(
+            f"corrupt sketch payload: heap lists key "
+            f"{ordered[1:][twice][0]} twice")
+    return TopK.from_arrays(capacity, keys, estimates)
 
 
 # --------------------------------------------------------------------- #

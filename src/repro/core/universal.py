@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 import threading
-from itertools import chain
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -330,8 +329,7 @@ class UniversalSketch(Sketch):
             # they keep meaning "data-plane churn of the combined stream"
             # rather than counting this control-plane rebuild.
             heaps = [lvl.topk] + [part.topk for part in parts]
-            keys = np.unique(np.fromiter(chain.from_iterable(heaps),
-                                         dtype=np.uint64))
+            keys = np.unique(np.concatenate([h.arrays()[0] for h in heaps]))
             heap = TopK(self.heap_size)
             if len(keys):
                 heap.offer_many(keys, lvl.sketch.query_many(keys),

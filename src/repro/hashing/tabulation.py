@@ -100,7 +100,13 @@ def gather_packed(packed: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 class TabulationHash:
-    """A single tabulation hash function ``h : [2**64) -> [2**64)``."""
+    """A single tabulation hash function ``h : [2**64) -> [2**64)``.
+
+    The bulk paths read the ``(8, 256)`` ``uint64`` table; the scalar
+    :meth:`__call__` reads it as Python lists, built on its first call
+    (most hashes are only ever used in bulk, and the lists cost about
+    90 KiB per hash).
+    """
 
     __slots__ = ("_tables", "_np_tables")
 
@@ -108,14 +114,17 @@ class TabulationHash:
                  rng: Optional[random.Random] = None) -> None:
         if rng is None:
             rng = random.Random(seed)
-        self._tables = [
-            [rng.getrandbits(64) for _ in range(256)] for _ in range(8)
-        ]
-        self._np_tables = np.array(self._tables, dtype=np.uint64)
+        self._np_tables = np.fromiter(
+            (rng.getrandbits(64) for _ in range(8 * 256)), dtype=np.uint64,
+            count=8 * 256).reshape(8, 256)
+        self._tables: Optional[list] = None
 
     def __call__(self, x: int) -> int:
         x &= _MASK64
         t = self._tables
+        if t is None:
+            # Two threads racing here build equal lists; either is kept.
+            t = self._tables = self._np_tables.tolist()
         return (
             t[0][x & 0xFF]
             ^ t[1][(x >> 8) & 0xFF]

@@ -74,10 +74,8 @@ class HeavyHitterTask(Sketch):
         else:
             self.total += int(np.sum(weights))
         uniq = np.unique(keys)
-        estimates = self.cm.query_many(uniq)
-        order = np.argsort(estimates)
-        for i in order:
-            self.heap.offer(int(uniq[i]), float(estimates[i]))
+        self.heap.offer_many(uniq, self.cm.query_many(uniq),
+                             sorted_keys=True)
 
     def heavy_hitters(self, fraction: float) -> List[Tuple[int, float]]:
         """Keys whose estimate is >= ``fraction`` of total traffic."""

@@ -20,7 +20,6 @@ caused this change?" companion to the k-ary change sketch.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -139,14 +138,21 @@ class ReversibleSketch(Sketch):
                 << (self.bucket_bits * c)
         return index
 
-    def _buckets_array(self, row: int, keys: np.ndarray) -> np.ndarray:
+    def _row_buckets(self, keys: np.ndarray,
+                     rows: Sequence[int]) -> np.ndarray:
+        """The bucket of every key in each of ``rows``, as a ``(len(rows),
+        len(keys))`` array: the key pieces are extracted once, and each
+        row gathers its piece hashes from them."""
+        keys = np.asarray(keys, dtype=np.uint64)
         mask = np.uint64((1 << self.chunk_bits) - 1)
-        index = np.zeros(len(keys), dtype=np.int64)
-        for c in range(self.chunks):
-            pieces = ((keys >> np.uint64(self.chunk_bits * c)) & mask) \
-                .astype(np.intp)
-            index |= self._tables[row, c][pieces] << (self.bucket_bits * c)
-        return index
+        pieces = [((keys >> np.uint64(self.chunk_bits * c)) & mask)
+                  .astype(np.intp) for c in range(self.chunks)]
+        out = np.zeros((len(rows), len(keys)), dtype=np.int64)
+        for index, row in zip(out, rows):
+            for c, piece in enumerate(pieces):
+                index |= self._tables[row, c].take(piece) \
+                    << (self.bucket_bits * c)
+        return out
 
     # ------------------------------------------------------------------ #
     # stream interface
@@ -165,9 +171,10 @@ class ReversibleSketch(Sketch):
             # float64 sums of int64 weights < 2**53 stay exact.
             weights = np.asarray(weights).astype(np.int64, copy=False) \
                 .astype(np.float64)
-        for r, row in enumerate(self.table):
-            counts = np.bincount(self._buckets_array(r, keys),
-                                 weights=weights, minlength=self.width)
+        buckets = self._row_buckets(keys, range(self.rows))
+        for row, row_buckets in zip(self.table, buckets):
+            counts = np.bincount(row_buckets, weights=weights,
+                                 minlength=self.width)
             row += counts.astype(np.int64, copy=False)
 
     def query(self, key: int) -> float:
@@ -201,34 +208,39 @@ class ReversibleSketch(Sketch):
     def _heavy_buckets(self, row: int, threshold: float) -> List[int]:
         return np.nonzero(np.abs(self.table[row]) >= threshold)[0].tolist()
 
-    def _candidates_for_bucket(self, row: int, bucket: int) -> List[int]:
-        """All keys a bucket's modular hash could have come from."""
-        per_chunk: List[List[int]] = []
-        mask = (1 << self.bucket_bits) - 1
-        for c in range(self.chunks):
-            hash_value = (bucket >> (self.bucket_bits * c)) & mask
-            per_chunk.append(
-                self._preimages[row][c].get(hash_value, []))
-        keys = []
-        for combo in itertools.product(*per_chunk):
-            key = 0
-            for c, piece in enumerate(combo):
-                key |= piece << (self.chunk_bits * c)
-            keys.append(key)
-        return keys
+    def _viable_pieces(self, rows: Sequence[int],
+                       threshold: float) -> np.ndarray:
+        """Per chunk, a mask over piece values: True where the piece's
+        hash, in every one of ``rows``, equals that chunk's field of one
+        of the row's buckets with |count| >= ``threshold``.  A key with
+        a non-viable piece has a light bucket in some row."""
+        field = (1 << self.bucket_bits) - 1
+        viable = np.ones((self.chunks, 1 << self.chunk_bits), dtype=bool)
+        for row in rows:
+            buckets = np.asarray(self._heavy_buckets(row, threshold),
+                                 dtype=np.int64)
+            for c in range(self.chunks):
+                fields = np.zeros(field + 1, dtype=bool)
+                fields[(buckets >> (self.bucket_bits * c)) & field] = True
+                viable[c] &= fields[self._tables[row, c]]
+        return viable
 
-    def _candidate_array(self, row: int, bucket: int) -> np.ndarray:
-        """Vectorised preimage enumeration: same keys as
-        :meth:`_candidates_for_bucket`, built by broadcasting the
-        per-chunk preimage sets instead of a Python product loop."""
+    def _candidate_array(self, row: int, bucket: int,
+                         viable: np.ndarray) -> np.ndarray:
+        """The keys a bucket's modular hash could have come from whose
+        pieces are all ``viable`` (:meth:`_viable_pieces`), built by
+        broadcasting the filtered per-chunk preimage sets, in the order
+        ``itertools.product`` gives over them."""
         mask = (1 << self.bucket_bits) - 1
         per_chunk: List[np.ndarray] = []
         for c in range(self.chunks):
             hash_value = (bucket >> (self.bucket_bits * c)) & mask
-            pre = self._preimages[row][c].get(hash_value, [])
-            if not pre:
+            pre = np.asarray(self._preimages[row][c].get(hash_value, []),
+                             dtype=np.intp)
+            pre = pre[viable[c][pre]]
+            if not len(pre):
                 return np.empty(0, dtype=np.uint64)
-            per_chunk.append(np.asarray(pre, dtype=np.uint64))
+            per_chunk.append(pre.astype(np.uint64))
         keys = per_chunk[0]
         for c in range(1, self.chunks):
             shifted = per_chunk[c] << np.uint64(self.chunk_bits * c)
@@ -243,6 +255,10 @@ class ReversibleSketch(Sketch):
         Enumerate the modular-hash preimages of row 0's heavy buckets and
         keep the candidates whose buckets are heavy in (all) other rows
         too — the cross-row intersection that makes reversal sound.
+        Each chunk's preimages are first narrowed to the pieces whose
+        hash matches a heavy bucket's field in every verify row
+        (:meth:`_viable_pieces`), which drops only keys the full-key
+        check would reject, before the product is formed.
 
         Returns ``(key, estimate)`` pairs sorted by |estimate|.  Raises
         ConfigurationError if row 0 has more than ``max_buckets`` heavy
@@ -255,17 +271,16 @@ class ReversibleSketch(Sketch):
             raise ConfigurationError(
                 f"{len(heavy0)} heavy buckets in row 0 exceeds "
                 f"max_buckets={max_buckets}; raise the threshold")
+        verify = range(1, verify_rows)
+        viable = self._viable_pieces(verify, threshold)
         recovered: Dict[int, float] = {}
         for bucket in heavy0:
-            # One preimage set per bucket can reach |preimage|^chunks
-            # keys (~1M at the default geometry); enumerate and verify
-            # them as arrays, not in a Python loop.
-            candidates = self._candidate_array(0, bucket)
+            candidates = self._candidate_array(0, bucket, viable)
             if candidates.size == 0:
                 continue
+            buckets = self._row_buckets(candidates, verify)
             confirmed = np.ones(len(candidates), dtype=bool)
-            for r in range(1, verify_rows):
-                row_buckets = self._buckets_array(r, candidates)
+            for r, row_buckets in zip(verify, buckets):
                 confirmed &= np.abs(self.table[r, row_buckets]) >= threshold
             for key in candidates[confirmed].tolist():
                 key = int(key)

@@ -259,6 +259,12 @@ class TestHardening:
         with pytest.raises(TraceFormatError, match="negative"):
             serialization.loads(bytes(data))
 
+    def test_truncated_heap_block_rejected(self):
+        data = self._heap_payload()
+        # Cut inside level 0's heap block, which holds 8 entries.
+        with pytest.raises(TraceFormatError, match="truncated"):
+            serialization.loads(bytes(data[:self._ITEMS + 8 * 16 - 3]))
+
     def test_negative_level_weight_accepted(self):
         # Weighted ingest allows negative weights, so a level's weight
         # may be negative on the wire.
@@ -268,6 +274,70 @@ class TestHardening:
         back = serialization.loads(serialization.dumps(u))
         assert back.levels[0].weight == u.levels[0].weight < 0
         assert back.levels[0].topk.items() == u.levels[0].topk.items()
+
+
+def _reference_heap_bytes(topk):
+    """A heap block as the per-entry ``struct`` writer produced it."""
+    items = topk.items()
+    out = struct.pack("<II", topk.capacity, len(items))
+    for key, estimate in items:
+        out += struct.pack("<Qd", key, estimate)
+    return out
+
+
+def _heap_blocks(data, sketch):
+    """Each level's heap block, cut out of a universal payload."""
+    blocks, offset = [], 37
+    for _ in sketch.levels:
+        offset += 16
+        (nbytes,) = struct.unpack_from("<I", data, offset)
+        offset += 4 + nbytes
+        _, count = struct.unpack_from("<II", data, offset)
+        blocks.append(bytes(data[offset:offset + 8 + 16 * count]))
+        offset += 8 + 16 * count
+    assert offset == len(data)
+    return blocks
+
+
+class TestHeapBlocks:
+    def _sketches(self):
+        negative = UniversalSketch(levels=3, rows=2, width=32, heap_size=8,
+                                   seed=4)
+        negative.update_array(np.arange(40, dtype=np.uint64),
+                              weights=np.full(40, -7, dtype=np.int64))
+        high = UniversalSketch(levels=2, rows=2, width=32, heap_size=8,
+                               seed=4)
+        high.update_array(np.array([0, (1 << 64) - 1, 1 << 63, 5],
+                                   dtype=np.uint64))
+        return [filled_universal(), negative, high,
+                filled_universal().subtract(filled_universal(seed=5))]
+
+    def test_block_bytes_equal_per_entry_struct_writer(self):
+        for u in self._sketches():
+            data = serialization.dumps(u)
+            blocks = _heap_blocks(data, u)
+            for level, block in zip(u.levels, blocks):
+                assert block == _reference_heap_bytes(level.topk)
+
+    def test_decoded_heaps_are_writable_copies(self):
+        u = filled_universal()
+        data = bytearray(serialization.dumps(u))
+        back = serialization.loads(data)
+        for la, lb in zip(u.levels, back.levels):
+            keys, ests = lb.topk._keys, lb.topk._ests
+            assert keys.flags.writeable and ests.flags.writeable
+            assert keys.flags.owndata and ests.flags.owndata
+            assert lb.topk.keys() == [k for k, _ in la.topk.items()]
+            assert lb.topk.offers == len(la.topk)
+        before = back.levels[0].topk.items()
+        data[:] = bytes(len(data))      # the payload is not aliased
+        assert back.levels[0].topk.items() == before
+        heap = back.levels[0].topk      # and the heap mutates freely
+        key = heap.keys()[0]
+        heap.offer(key, 1e9)
+        heap.offer_many(np.array([1 << 40], dtype=np.uint64),
+                        np.array([2e9]))
+        assert heap.estimate(key) == 1e9 and (1 << 40) in heap
 
 
 class TestCompactness:

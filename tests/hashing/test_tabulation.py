@@ -138,9 +138,37 @@ class TestHashMatrix:
         for r, h in enumerate(family.hashes):
             assert np.shares_memory(h._np_tables, family.stacked)
             assert np.array_equal(h._np_tables, family.stacked[:, :, r])
+            h(0)  # the scalar lists exist from the first scalar call on
             assert np.array_equal(h._np_tables, np.array(h._tables,
                                                          dtype=np.uint64))
         assert not family.stacked.flags.writeable
+
+
+#: Every byte value at every byte position: 2048 keys that together
+#: read each entry of a hash's ``(8, 256)`` table once.
+EVERY_BYTE = np.array([b << (8 * i) for i in range(8) for b in range(256)],
+                      dtype=np.uint64)
+
+
+class TestScalarTables:
+    def test_tables_equal_the_row_by_row_draw(self):
+        rng = random.Random(31)
+        drawn = [[rng.getrandbits(64) for _ in range(256)]
+                 for _ in range(8)]
+        assert TabulationHash(seed=31)._np_tables.tolist() == drawn
+
+    def test_bulk_only_family_holds_no_scalar_lists(self, fresh_cache):
+        from repro.sketches.countsketch import CountSketch
+        sketch = CountSketch(rows=5, width=1965, seed=41)
+        keys = np.arange(5000, dtype=np.uint64)
+        sketch.update_array(keys)
+        sketch.query_many(keys)
+        hashes = sketch._family.hashes
+        assert all(h._tables is None for h in hashes)
+        matrix = sketch._family.hash_matrix(EVERY_BYTE)
+        for h, row in zip(hashes, matrix):
+            assert [h(x) for x in EVERY_BYTE.tolist()] == row.tolist()
+            assert h._tables is not None
 
 
 class TestGatherPacked:

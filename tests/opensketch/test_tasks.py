@@ -45,6 +45,23 @@ class TestHeavyHitterTask:
             b.update(int(k))
         assert a.total == b.total == 4
 
+    def test_bulk_heap_matches_sequential_offers(self, trace):
+        """The bulk heap refresh keeps the ranks a loop of scalar offers
+        in increasing-estimate order keeps (count ties at the eviction
+        boundary may pick other keys of the same rank)."""
+        from repro.sketches.topk import TopK
+        keys = trace.key_array(src_ip_key)
+        task = HeavyHitterTask(rows=3, width=256, heap_size=16, seed=3)
+        task.update_array(keys)
+        uniq = np.unique(keys)
+        estimates = task.cm.query_many(uniq)
+        loop = TopK(16)
+        for i in np.argsort(estimates, kind="stable"):
+            loop.offer(int(uniq[i]), float(estimates[i]))
+        assert len(task.heap) == 16
+        assert sorted(v for _, v in task.heap.items()) == \
+            sorted(v for _, v in loop.items())
+
     def test_memory_includes_heap(self):
         task = HeavyHitterTask(rows=3, width=128, heap_size=16, seed=1)
         assert task.memory_bytes() == 3 * 128 * 4 + 16 * 16

@@ -199,6 +199,90 @@ class TestRecovery:
             make(seed=1).subtract(make(seed=2))
 
 
+def _reference_buckets(rs, row, keys):
+    """One row's buckets, computed chunk by chunk from the raw tables."""
+    mask = np.uint64((1 << rs.chunk_bits) - 1)
+    index = np.zeros(len(keys), dtype=np.int64)
+    for c in range(rs.chunks):
+        pieces = ((keys >> np.uint64(rs.chunk_bits * c)) & mask) \
+            .astype(np.intp)
+        index |= rs._tables[row, c][pieces] << (rs.bucket_bits * c)
+    return index
+
+
+def _unfiltered_recovery(rs, threshold, verify_rows=None):
+    """Recovery without the per-chunk filter: the full product of each
+    heavy row-0 bucket's preimages, then the full-key check in every
+    verify row.  The reference the filtered recovery must equal."""
+    verify_rows = rs.rows if verify_rows is None else verify_rows
+    recovered = {}
+    field = (1 << rs.bucket_bits) - 1
+    for bucket in np.nonzero(np.abs(rs.table[0]) >= threshold)[0].tolist():
+        per_chunk = [np.asarray(rs._preimages[0][c].get(
+            (bucket >> (rs.bucket_bits * c)) & field, []), dtype=np.uint64)
+            for c in range(rs.chunks)]
+        keys = per_chunk[0]
+        for c in range(1, rs.chunks):
+            shifted = per_chunk[c] << np.uint64(rs.chunk_bits * c)
+            keys = (keys[:, None] | shifted[None, :]).ravel()
+        confirmed = np.ones(len(keys), dtype=bool)
+        for r in range(1, verify_rows):
+            confirmed &= np.abs(
+                rs.table[r, _reference_buckets(rs, r, keys)]) >= threshold
+        for key in keys[confirmed].tolist():
+            if key not in recovered:
+                recovered[key] = rs.query(key)
+    survivors = [(k, est) for k, est in recovered.items()
+                 if abs(est) >= threshold * 0.5]
+    survivors.sort(key=lambda kv: -abs(kv[1]))
+    return survivors
+
+
+def _raw(rows, chunk_bits, bucket_bits):
+    rs = ReversibleSketch(rows, chunk_bits, bucket_bits, seed=6)
+    for key in (0xC0A80164, 0x01020304, 0xA0B0C0D0):
+        rs.update(key, 4000)
+    rs.update_array(np.random.default_rng(0).integers(
+        0, 1 << 32, size=3000, dtype=np.uint64))
+    return rs
+
+
+def _difference(rows, chunk_bits, bucket_bits):
+    a = ReversibleSketch(rows, chunk_bits, bucket_bits, seed=10)
+    b = ReversibleSketch(rows, chunk_bits, bucket_bits, seed=10)
+    shared = np.random.default_rng(2).integers(0, 1 << 32, size=2000,
+                                               dtype=np.uint64)
+    a.update_array(shared)
+    b.update_array(shared)
+    b.update(0x08080808, 3000)        # the change, upwards
+    a.update(0x7F000001, 2500)        # and downwards
+    return b.subtract(a)
+
+
+class TestFilteredRecovery:
+    @pytest.mark.parametrize("geometry", [(4, 8, 3), (3, 4, 2)])
+    @pytest.mark.parametrize("build", [_raw, _difference])
+    @pytest.mark.parametrize("verify_rows", [None, 2])
+    def test_equals_unfiltered_enumeration(self, geometry, build,
+                                           verify_rows):
+        rs = build(*geometry)
+        for threshold in (1200.0, 2000.0):
+            got = rs.recover_heavy_keys(threshold, verify_rows=verify_rows)
+            want = _unfiltered_recovery(rs, threshold, verify_rows)
+            assert got == want
+        assert got, "nothing recovered: the case checks nothing"
+
+    def test_row_buckets_match_each_row(self):
+        rs = _raw(4, 8, 3)
+        keys = np.random.default_rng(4).integers(0, 1 << 32, size=500,
+                                                 dtype=np.uint64)
+        buckets = rs._row_buckets(keys, range(1, 4))
+        assert buckets.shape == (3, len(keys))
+        for row, got in zip(range(1, 4), buckets):
+            assert np.array_equal(got, _reference_buckets(rs, row, keys))
+            assert got.tolist() == [rs.bucket(row, k) for k in keys.tolist()]
+
+
 class TestAccounting:
     def test_memory(self):
         rs = make()

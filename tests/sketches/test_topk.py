@@ -1,5 +1,6 @@
 """Tests for the magnitude-ranked TopK tracker (the Q_j heaps)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,3 +200,34 @@ class TestOfferMany:
         assert t.min() == (1, 4.0)
         t.offer(9, 5.0)  # evicts key 1 through the lazy heap
         assert set(t.keys()) == {3, 4, 9}
+
+
+class TestCopyIndependence:
+    def _filled(self):
+        t = TopK(4)
+        t.offer_many(np.array([1, 2, 3, 4, 5], dtype=np.uint64),
+                     np.array([5.0, -4.0, 3.0, 2.0, 1.0]))
+        return t
+
+    @pytest.mark.parametrize("mutate_copy", [True, False])
+    def test_mutating_one_side_leaves_the_other(self, mutate_copy):
+        original = self._filled()
+        clone = original.copy()
+        target, other = (clone, original) if mutate_copy \
+            else (original, clone)
+        before = (other.keys(), other.items(), other.min(), other.offers,
+                  other.evictions, other.rejections)
+        target.offer(2, 100.0)           # tracked: estimate replaced
+        target.offer(9, 50.0)            # evicts the minimum
+        target.offer_many(np.array([7, 8], dtype=np.uint64),
+                          np.array([60.0, -70.0]), sorted_keys=True)
+        assert target.items() != before[1]
+        assert (other.keys(), other.items(), other.min(), other.offers,
+                other.evictions, other.rejections) == before
+
+    def test_arrays_are_in_storage_order(self):
+        t = self._filled()
+        keys, ests = t.arrays()
+        assert keys.dtype == np.uint64 and ests.dtype == np.float64
+        assert list(zip(keys.tolist(), ests.tolist())) == \
+            [(k, t.estimate(k)) for k in t.keys()]
