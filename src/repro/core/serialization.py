@@ -5,15 +5,24 @@ the data plane"; in any real deployment those counters cross a network.
 This module defines a compact, versioned binary encoding for the
 sketches the poll loop ships:
 
-- header: magic ``b"UMS1"`` + a type tag,
+- header: magic ``b"UMS2"`` + a type tag,
 - fixed little-endian struct fields for the geometry and seed,
-- raw numpy counter blocks,
+- counter blocks ``u8 width | u32 nbytes | counters``: each table in the
+  narrowest signed little-endian width (1, 2, 4 or 8 bytes) that holds
+  both its minimum and its maximum, widened back to ``int64`` on read,
 - heaps as ``(key, estimate)`` arrays.
+
+A sealed epoch's counters are small integers (the largest is in the
+hundreds at fleet scale), so most blocks cross the wire one byte per
+counter.  ``UMS1`` bodies, which carried every counter as ``int64``,
+are rejected: there is one reader.
 
 Only seeded sketches can be serialized: the hash functions are *not*
 shipped (they are large and derivable), so the receiver reconstructs
 them from the seed — which is also what keeps the format compact enough
-for a 5-second polling cadence.
+for a 5-second polling cadence.  Before a reader builds a sketch it
+checks that the bytes left can hold the declared geometry at one byte
+per counter, so a tiny body cannot demand a large allocation.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from repro.sketches.countsketch import CountSketch
 from repro.sketches.kary import KArySketch
 from repro.sketches.topk import TopK
 
-_MAGIC = b"UMS1"
+_MAGIC = b"UMS2"
 
 _TYPE_COUNT_SKETCH = 1
 _TYPE_COUNT_MIN = 2
@@ -80,22 +89,58 @@ def _require_seed(sketch) -> int:
     return int(sketch.seed)
 
 
+#: The counter widths a table block may use, narrowest first, by byte
+#: count, each with the range it holds.
+_COUNTER_WIDTHS = {
+    dt.itemsize: (dt, int(np.iinfo(dt).min), int(np.iinfo(dt).max))
+    for dt in map(np.dtype, ("<i1", "<i2", "<i4", "<i8"))}
+
+#: A counter block's prefix: ``u8 width | u32 nbytes``.
+_TABLE_PREFIX = struct.Struct("<BI")
+
+
 def _write_table(out: BinaryIO, table: np.ndarray) -> None:
-    data = np.ascontiguousarray(table, dtype=np.int64).tobytes()
-    out.write(struct.pack("<I", len(data)))
+    lo, hi = int(table.min()), int(table.max())
+    for dtype, dt_min, dt_max in _COUNTER_WIDTHS.values():
+        if dt_min <= lo and hi <= dt_max:
+            break
+    data = table.astype(dtype).tobytes()
+    out.write(_TABLE_PREFIX.pack(dtype.itemsize, len(data)))
     out.write(data)
 
 
 def _read_table(buf: BinaryIO, rows: int, width: int) -> np.ndarray:
-    (nbytes,) = struct.unpack("<I", _read_exact(buf, 4))
-    expected = rows * width * 8
+    itemsize, nbytes = _TABLE_PREFIX.unpack(
+        _read_exact(buf, _TABLE_PREFIX.size))
+    if itemsize not in _COUNTER_WIDTHS:
+        raise TraceFormatError(
+            f"corrupt sketch payload: table counter width {itemsize} is "
+            f"not 1, 2, 4 or 8 bytes")
+    dtype = _COUNTER_WIDTHS[itemsize][0]
+    expected = rows * width * itemsize
     if nbytes != expected:
         raise TraceFormatError(
             f"corrupt sketch payload: table block is {nbytes} bytes, "
-            f"expected {expected} for {rows}x{width} int64 counters")
+            f"expected {expected} for {rows}x{width} {itemsize}-byte "
+            f"counters")
     raw = _read_exact(buf, nbytes)
-    table = np.frombuffer(raw, dtype=np.int64).reshape(rows, width).copy()
-    return table
+    # astype copies: the sketch owns an int64 table, not a payload view.
+    return np.frombuffer(raw, dtype=dtype).reshape(rows, width).astype(
+        np.int64)
+
+
+def _check_room(buf: BinaryIO, counters: int, minimum: int) -> None:
+    """Reject a declared geometry whose smallest encoding (``minimum``
+    bytes, one byte per counter) is larger than what is left of the
+    payload, before any sketch is allocated for it."""
+    here = buf.tell()
+    left = buf.seek(0, io.SEEK_END) - here
+    buf.seek(here)
+    if left < minimum:
+        raise TraceFormatError(
+            f"corrupt sketch payload: geometry declares {counters} "
+            f"counters (at least {minimum} bytes) but only {left} "
+            f"payload bytes are left")
 
 
 def _read_exact(buf: BinaryIO, n: int) -> bytes:
@@ -161,6 +206,7 @@ def _load_tableau(buf: BinaryIO, cls, type_name: str):
     rows, width, seed = struct.unpack("<IIq", _read_exact(buf, 16))
     _check_range("rows", rows, 1, MAX_ROWS)
     _check_range("width", width, 1, MAX_WIDTH)
+    _check_room(buf, rows * width, _TABLE_PREFIX.size + rows * width)
     sketch = cls(rows=rows, width=width, seed=seed)
     sketch.table = _read_table(buf, rows, width)
     return sketch
@@ -185,6 +231,10 @@ def _load_universal(buf: BinaryIO) -> UniversalSketch:
     if packets < 0:
         raise TraceFormatError(
             f"corrupt sketch payload: negative packet count {packets}")
+    # Per level: packets and weight (16), the counter block, and the
+    # heap's capacity and count (8).
+    _check_room(buf, (levels + 1) * rows * width,
+                (levels + 1) * (16 + _TABLE_PREFIX.size + rows * width + 8))
     sketch = UniversalSketch(levels=levels, rows=rows, width=width,
                              heap_size=heap_size, seed=seed)
     sketch.packets = packets

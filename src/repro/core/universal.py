@@ -19,7 +19,6 @@ monitoring") or subtracted (change detection, §3.4).
 from __future__ import annotations
 
 import math
-import random
 import threading
 from typing import List, Optional, Tuple
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, IncompatibleSketchError
 from repro.hashing.sampling import LevelSampler
+from repro.hashing.tabulation import derived_seeds
 from repro.obs.metrics import get_registry
 from repro.core.level import SketchLevel, aggregate
 from repro.sketches.base import Sketch, UpdateCost, check_batch
@@ -67,13 +67,12 @@ class UniversalSketch(Sketch):
         self.heap_size = heap_size
         self.seed = seed
         self.counter_bytes = counter_bytes
-        master = random.Random(seed)
-        self.sampler = LevelSampler(levels, seed=master.randrange(1 << 62))
+        sampler_seed, *level_seeds = derived_seeds(seed, levels + 2)
+        self.sampler = LevelSampler(levels, seed=sampler_seed)
         self.levels: List[SketchLevel] = [
             SketchLevel(rows=rows, width=width, heap_size=heap_size,
-                        seed=master.randrange(1 << 62),
-                        counter_bytes=counter_bytes)
-            for _ in range(levels + 1)
+                        seed=level_seed, counter_bytes=counter_bytes)
+            for level_seed in level_seeds
         ]
         self.packets = 0
         self._version = 0     # bumped on every mutation

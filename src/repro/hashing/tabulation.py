@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 import sys
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -230,6 +230,33 @@ class TabulationFamily:
 #: its derived tables, so they are bounded and cleared with it.
 _FAMILY_CACHE: dict = {}
 _FAMILY_CACHE_MAX = 512
+
+#: Memoized sub-seed draws (see :func:`derived_seeds`), under the same
+#: bound as the families.
+_SEEDS_CACHE: dict = {}
+
+
+def derived_seeds(seed: Optional[int], count: int) -> Tuple[int, ...]:
+    """The first ``count`` draws of ``randrange(1 << 62)`` from
+    ``random.Random(seed)``: the sub-seeds a composite sketch hands its
+    parts.
+
+    Equal-seed sketches draw the same values, so seeded draws are
+    memoised per ``(seed, count)``; ``seed=None`` means fresh randomness
+    and is never cached.
+    """
+    if seed is None:
+        master = random.Random(None)
+        return tuple(master.randrange(1 << 62) for _ in range(count))
+    key = (int(seed), count)
+    seeds = _SEEDS_CACHE.get(key)
+    if seeds is None:
+        if len(_SEEDS_CACHE) >= _FAMILY_CACHE_MAX:
+            _SEEDS_CACHE.clear()
+        master = random.Random(seed)
+        seeds = tuple(master.randrange(1 << 62) for _ in range(count))
+        _SEEDS_CACHE[key] = seeds
+    return seeds
 
 
 def tabulation_family(seed: Optional[int], count: int) -> TabulationFamily:

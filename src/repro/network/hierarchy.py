@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CodecError, ConfigurationError, TransportError
+from repro.obs import observe_sketch
 from repro.obs.metrics import get_registry
 from repro.controlplane.controller import AppHost, EpochReport
 from repro.network.codec import DeltaDecoder, DeltaEncoder
@@ -491,6 +492,7 @@ class HierarchicalCoordinator(AppHost):
             "health": self.health.snapshot(),
         }
         if status != "withheld" and covered_leaves:
+            observe_sketch(merged, reg)
             self.run_apps(merged, epoch_index, report)
         self.health.tick()
         self._acc = None

@@ -12,6 +12,14 @@ from repro.core.universal import UniversalSketch
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.countsketch import CountSketch
 from repro.sketches.kary import KArySketch
+from tests.core.wire_layout import (
+    LEVEL0_AT,
+    TABLEAU_NBYTES_AT,
+    TABLEAU_TABLE_AT,
+    ums1_body,
+    universal_header,
+    universal_layout,
+)
 
 
 def filled_universal(seed=5):
@@ -70,38 +78,39 @@ class TestRoundTrips:
         assert merged.total_weight == 2 * u.total_weight
 
 
+def assert_round_trips(u):
+    back = serialization.loads(serialization.dumps(u))
+    assert back.packets == u.packets
+    assert len(back.levels) == len(u.levels)
+    for la, lb in zip(u.levels, back.levels):
+        assert np.array_equal(la.sketch.table, lb.sketch.table)
+        assert dict(la.topk.items()) == dict(lb.topk.items())
+        assert (la.packets, la.weight) == (lb.packets, lb.weight)
+    return back
+
+
 class TestSparseAndEmptyStates:
     """Boundary states the frame codec leans on: empty sketches (a
     restarted switch's first poll), heap-only occupancy, and geometry
     at the serializer's documented limits."""
 
-    def assert_round_trips(self, u):
-        back = serialization.loads(serialization.dumps(u))
-        assert back.packets == u.packets
-        assert len(back.levels) == len(u.levels)
-        for la, lb in zip(u.levels, back.levels):
-            assert np.array_equal(la.sketch.table, lb.sketch.table)
-            assert dict(la.topk.items()) == dict(lb.topk.items())
-            assert (la.packets, la.weight) == (lb.packets, lb.weight)
-        return back
-
     def test_empty_universal_round_trip(self):
         u = UniversalSketch(levels=4, rows=2, width=64, heap_size=8, seed=1)
-        back = self.assert_round_trips(u)
+        back = assert_round_trips(u)
         assert back.packets == 0
         assert all(not lv.sketch.table.any() for lv in back.levels)
 
     def test_zero_levels_round_trip(self):
         u = UniversalSketch(levels=0, rows=2, width=32, heap_size=4, seed=1)
         u.update(11)
-        self.assert_round_trips(u)
+        assert_round_trips(u)
 
     def test_single_key_sparse_round_trip(self):
         # One update leaves all-but-rows counters zero per level and a
         # single heap entry; the sparse state must survive exactly.
         u = UniversalSketch(levels=4, rows=2, width=64, heap_size=8, seed=1)
         u.update(42, 3)
-        back = self.assert_round_trips(u)
+        back = assert_round_trips(u)
         assert back.levels[0].topk.items() == [(42, 3.0)]
 
     def test_heap_only_levels_round_trip(self):
@@ -109,13 +118,13 @@ class TestSparseAndEmptyStates:
         u = UniversalSketch(levels=8, rows=1, width=8, heap_size=4, seed=2)
         for key in range(4):
             u.update(key)
-        self.assert_round_trips(u)
+        assert_round_trips(u)
 
     def test_max_levels_geometry_round_trip(self):
         u = UniversalSketch(levels=serialization.MAX_LEVELS, rows=1,
                             width=8, heap_size=2, seed=3)
         u.update(5)
-        self.assert_round_trips(u)
+        assert_round_trips(u)
 
     def test_empty_tableau_sketches_round_trip(self):
         for cls in (CountSketch, CountMinSketch, KArySketch):
@@ -161,15 +170,6 @@ class TestHardening:
     """Hostile payloads must raise TraceFormatError — never a raw
     struct/numpy traceback or a giant allocation."""
 
-    # magic(4) | tag(1) | levels(4) rows(4) width(4) heap(4) seed(8)
-    # packets(8) | per level: packets(8) weight(8) nbytes(4) table ...
-    _HDR = struct.Struct("<BIIIIqq")
-
-    def _universal_header(self, levels=1, rows=1, width=8, heap=4,
-                          seed=1, packets=0):
-        return b"UMS1" + self._HDR.pack(4, levels, rows, width, heap,
-                                        seed, packets)
-
     def test_truncation_at_every_offset_rejected(self):
         data = serialization.dumps(filled_universal())
         for cut in range(0, len(data), max(1, len(data) // 64)):
@@ -179,53 +179,44 @@ class TestHardening:
     def test_hostile_width_rejected_before_allocation(self):
         # A 2**31 width would mean a multi-GB table allocation.
         with pytest.raises(TraceFormatError, match="width"):
-            serialization.loads(self._universal_header(width=2 ** 31))
+            serialization.loads(universal_header(width=2 ** 31))
 
     def test_hostile_level_count_rejected(self):
         with pytest.raises(TraceFormatError, match="levels"):
-            serialization.loads(self._universal_header(levels=10_000))
+            serialization.loads(universal_header(levels=10_000))
 
     def test_hostile_heap_capacity_rejected(self):
         with pytest.raises(TraceFormatError, match="heap"):
-            serialization.loads(self._universal_header(heap=2 ** 30))
+            serialization.loads(universal_header(heap=2 ** 30))
 
     def test_negative_packets_rejected(self):
         with pytest.raises(TraceFormatError):
-            serialization.loads(self._universal_header(packets=-1))
+            serialization.loads(universal_header(packets=-1))
 
     def test_table_size_mismatch_rejected(self):
         data = bytearray(serialization.dumps(
             CountSketch(rows=2, width=8, seed=1)))
-        # tableau layout: magic(4) tag(1) rows(4) width(4) seed(8)
-        # then table nbytes(4); lie about the table length.
-        struct.pack_into("<I", data, 21, 8)
+        # Lie about the table length in the block's nbytes field.
+        struct.pack_into("<I", data, TABLEAU_NBYTES_AT, 8)
         with pytest.raises(TraceFormatError, match="table"):
             serialization.loads(bytes(data))
 
     def test_heap_count_above_capacity_rejected(self):
         u = UniversalSketch(levels=1, rows=1, width=8, heap_size=4, seed=1)
         data = bytearray(serialization.dumps(u))
-        # First level's topk header follows the 37-byte universal header
-        # plus packets/weight (16) and the length-prefixed table.
-        table_off = 37 + 16
-        (nbytes,) = struct.unpack_from("<I", data, table_off)
-        count_off = table_off + 4 + nbytes + 4  # skip capacity field
-        struct.pack_into("<I", data, count_off, u.heap_size + 1)
+        count_at = universal_layout(data)[0].count
+        struct.pack_into("<I", data, count_at, u.heap_size + 1)
         with pytest.raises(TraceFormatError, match="capacity"):
             serialization.loads(bytes(data))
 
-    # Level 0 of a levels=1, rows=1, width=8, heap_size=8 sketch: the
-    # 37-byte header, then packets(8) weight(8) nbytes(4) table(64),
-    # then heap capacity(4) count(4) and 16-byte (key, estimate) items.
-    _LEVEL0 = 37
-    _CAPACITY = _LEVEL0 + 16 + 4 + 64
-    _ITEMS = _CAPACITY + 8
-
     def _heap_payload(self):
+        """A levels=1, rows=1, width=8, heap_size=8 body whose level-0
+        heap holds 8 entries, with level 0's layout."""
         u = UniversalSketch(levels=1, rows=1, width=8, heap_size=8, seed=1)
         u.update_array(np.arange(20, dtype=np.uint64))
         assert len(u.levels[0].topk) == 8
-        return bytearray(serialization.dumps(u))
+        data = bytearray(serialization.dumps(u))
+        return data, universal_layout(data)[0]
 
     def test_trailing_bytes_rejected(self):
         for sketch in (filled_universal(), CountSketch(rows=2, width=8,
@@ -235,35 +226,36 @@ class TestHardening:
                 serialization.loads(data)
 
     def test_non_finite_heap_estimate_rejected(self):
-        data = self._heap_payload()
-        struct.pack_into("<d", data, self._ITEMS + 8, float("nan"))
+        data, level0 = self._heap_payload()
+        struct.pack_into("<d", data, level0.items + 8, float("nan"))
         with pytest.raises(TraceFormatError, match="finite"):
             serialization.loads(bytes(data))
 
     def test_duplicate_heap_keys_rejected(self):
-        data = self._heap_payload()
-        data[self._ITEMS + 16:self._ITEMS + 24] = \
-            data[self._ITEMS:self._ITEMS + 8]
+        data, level0 = self._heap_payload()
+        data[level0.items + 16:level0.items + 24] = \
+            data[level0.items:level0.items + 8]
         with pytest.raises(TraceFormatError, match="twice"):
             serialization.loads(bytes(data))
 
     def test_heap_capacity_must_match_heap_size(self):
-        data = self._heap_payload()
-        struct.pack_into("<I", data, self._CAPACITY, 1000)
+        data, level0 = self._heap_payload()
+        struct.pack_into("<I", data, level0.capacity, 1000)
         with pytest.raises(TraceFormatError, match="heap_size"):
             serialization.loads(bytes(data))
 
     def test_negative_level_packets_rejected(self):
-        data = self._heap_payload()
-        struct.pack_into("<q", data, self._LEVEL0, -5)
+        data, level0 = self._heap_payload()
+        assert level0.packets == LEVEL0_AT
+        struct.pack_into("<q", data, level0.packets, -5)
         with pytest.raises(TraceFormatError, match="negative"):
             serialization.loads(bytes(data))
 
     def test_truncated_heap_block_rejected(self):
-        data = self._heap_payload()
+        data, level0 = self._heap_payload()
         # Cut inside level 0's heap block, which holds 8 entries.
         with pytest.raises(TraceFormatError, match="truncated"):
-            serialization.loads(bytes(data[:self._ITEMS + 8 * 16 - 3]))
+            serialization.loads(bytes(data[:level0.items + 8 * 16 - 3]))
 
     def test_negative_level_weight_accepted(self):
         # Weighted ingest allows negative weights, so a level's weight
@@ -274,6 +266,177 @@ class TestHardening:
         back = serialization.loads(serialization.dumps(u))
         assert back.levels[0].weight == u.levels[0].weight < 0
         assert back.levels[0].topk.items() == u.levels[0].topk.items()
+
+
+def _fitting_width(table):
+    """The narrowest of 1, 2, 4 and 8 bytes whose signed range holds
+    every counter of ``table``."""
+    lo, hi = int(table.min()), int(table.max())
+    for nbytes in (1, 2, 4, 8):
+        bits = 8 * nbytes - 1
+        if -(1 << bits) <= lo and hi < (1 << bits):
+            return nbytes
+    raise AssertionError(f"no width holds [{lo}, {hi}]")
+
+
+def _counter_widths(data):
+    """The width byte of every level's counter block."""
+    return [data[level.counter_width] for level in universal_layout(data)]
+
+
+#: (smallest counter, largest counter, width byte that must hold them).
+WIDTH_EDGES = [
+    (0, 0, 1),
+    (-128, 127, 1),
+    (-129, 0, 2),
+    (0, 128, 2),
+    (-(1 << 15), (1 << 15) - 1, 2),
+    (-(1 << 15) - 1, 0, 4),
+    (0, 1 << 15, 4),
+    (-(1 << 31), (1 << 31) - 1, 4),
+    (-(1 << 31) - 1, 0, 8),
+    (0, 1 << 31, 8),
+    (-(1 << 63), (1 << 63) - 1, 8),
+]
+
+
+class TestCounterWidths:
+    """Each counter table crosses the wire in the narrowest signed
+    width that holds it, and comes back as the same int64 table."""
+
+    @pytest.mark.parametrize("lo,hi,nbytes", WIDTH_EDGES)
+    def test_tableau_width_edges_round_trip(self, lo, hi, nbytes):
+        for cls in (CountSketch, CountMinSketch, KArySketch):
+            sk = cls(rows=2, width=8, seed=3)
+            sk.table[0, 1], sk.table[1, 6] = lo, hi
+            data = serialization.dumps(sk)
+            assert data[TABLEAU_TABLE_AT] == nbytes
+            assert len(data) == TABLEAU_NBYTES_AT + 4 + 16 * nbytes
+            back = serialization.loads(data)
+            assert back.table.dtype == np.int64
+            assert np.array_equal(back.table, sk.table)
+
+    @pytest.mark.parametrize("lo,hi,nbytes", WIDTH_EDGES)
+    def test_universal_width_edges_round_trip(self, lo, hi, nbytes):
+        u = filled_universal()
+        table = u.levels[2].sketch.table
+        table[0, 0], table[2, 255] = lo, hi
+        data = serialization.dumps(u)
+        widths = _counter_widths(data)
+        assert widths[2] == max(nbytes, _fitting_width(table))
+        assert_round_trips(u)
+
+    def test_levels_need_different_widths(self):
+        u = UniversalSketch(levels=4, rows=2, width=16, heap_size=4, seed=2)
+        for j, value in enumerate((-100, 300, -70_000, 1 << 40)):
+            u.levels[j].sketch.table[1, j] = value
+        data = serialization.dumps(u)
+        assert _counter_widths(data) == [1, 2, 4, 8, 1]
+        back = assert_round_trips(u)
+        assert all(lv.sketch.table.dtype == np.int64 for lv in back.levels)
+
+    def test_subtracted_and_empty_sketches_take_the_narrowest_width(self):
+        heavy = UniversalSketch(levels=6, rows=3, width=256, heap_size=16,
+                                seed=5)
+        heavy.update_array(np.full(1_000, 7, dtype=np.uint64))
+        change = filled_universal().subtract(heavy)
+        assert change.levels[0].sketch.table.min() < -128
+        empty = UniversalSketch(levels=6, rows=3, width=256, heap_size=16,
+                                seed=5)
+        for u in (filled_universal(), change, empty):
+            data = serialization.dumps(u)
+            assert _counter_widths(data) == [
+                _fitting_width(lv.sketch.table) for lv in u.levels]
+            assert_round_trips(u)
+        assert _counter_widths(serialization.dumps(empty)) == [1] * 7
+
+    @pytest.mark.parametrize("bad", [0, 3, 16])
+    def test_unknown_counter_width_rejected(self, bad):
+        tableau = bytearray(serialization.dumps(
+            CountSketch(rows=2, width=8, seed=1)))
+        tableau[TABLEAU_TABLE_AT] = bad
+        universal = bytearray(serialization.dumps(filled_universal()))
+        universal[universal_layout(universal)[3].counter_width] = bad
+        for data in (tableau, universal):
+            with pytest.raises(TraceFormatError, match="width"):
+                serialization.loads(bytes(data))
+
+    def test_nbytes_of_another_width_rejected(self):
+        # A one-byte table whose nbytes is what two-byte counters need,
+        # and the width byte raised to 2 over the one-byte block.
+        grown = bytearray(serialization.dumps(
+            CountSketch(rows=2, width=8, seed=1)))
+        assert grown[TABLEAU_TABLE_AT] == 1
+        struct.pack_into("<I", grown, TABLEAU_NBYTES_AT, 2 * 2 * 8)
+        widened = bytearray(serialization.dumps(filled_universal()))
+        level = universal_layout(widened)[1]
+        assert widened[level.counter_width] == 1
+        widened[level.counter_width] = 2
+        for data in (grown, widened):
+            with pytest.raises(TraceFormatError, match="table"):
+                serialization.loads(bytes(data))
+
+    def test_ums1_body_rejected(self):
+        cs = CountSketch(rows=2, width=8, seed=1)
+        cs.update(3, 5)
+        for sketch in (cs, filled_universal()):
+            with pytest.raises(TraceFormatError, match="UMS1"):
+                serialization.loads(ums1_body(sketch))
+
+
+class TestDeclaredSizeCheck:
+    """A body too short for the geometry it declares is rejected before
+    any sketch is built for it."""
+
+    @pytest.fixture
+    def no_construction(self, monkeypatch):
+        """Call to make any sketch construction inside ``loads`` fail."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sketch was constructed")
+
+        def install():
+            for name in ("UniversalSketch", "CountSketch",
+                         "CountMinSketch", "KArySketch"):
+                monkeypatch.setattr(serialization, name, refuse)
+        return install
+
+    def test_huge_universal_geometry_rejected(self, no_construction):
+        body = universal_header(levels=64, rows=512, width=1 << 24,
+                                heap=16)
+        no_construction()
+        with pytest.raises(TraceFormatError, match="counters") as err:
+            serialization.loads(body + bytes(20))
+        counters = 65 * 512 * (1 << 24)
+        assert f"declares {counters} counters" in str(err.value)
+        assert "only 20 payload bytes" in str(err.value)
+
+    def test_huge_tableau_geometry_rejected(self, no_construction):
+        no_construction()
+        for tag in (1, 2, 3):
+            body = b"UMS2" + struct.pack("<BIIq", tag, 512, 1 << 24, 1)
+            with pytest.raises(TraceFormatError, match="counters"):
+                serialization.loads(body)
+
+    def test_one_byte_short_of_the_minimum_rejected(self, no_construction):
+        u = UniversalSketch(levels=3, rows=2, width=8, heap_size=4, seed=1)
+        data = serialization.dumps(u)
+        no_construction()
+        with pytest.raises(TraceFormatError, match="counters"):
+            serialization.loads(data[:-1])
+
+    def test_minimum_is_an_empty_sketch(self):
+        # The bound is tight: an empty sketch's body is exactly the
+        # header plus one byte per counter and the fixed level fields.
+        for levels, rows, width in ((0, 1, 1), (3, 2, 8), (5, 2, 256)):
+            u = UniversalSketch(levels=levels, rows=rows, width=width,
+                                heap_size=4, seed=1)
+            data = serialization.dumps(u)
+            assert len(data) == LEVEL0_AT + (levels + 1) * (
+                16 + 5 + rows * width + 8)
+            assert_round_trips(u)
+            cs = CountSketch(rows=rows, width=width, seed=1)
+            assert len(serialization.dumps(cs)) == \
+                TABLEAU_TABLE_AT + 5 + rows * width
 
 
 def _reference_heap_bytes(topk):
@@ -287,16 +450,9 @@ def _reference_heap_bytes(topk):
 
 def _heap_blocks(data, sketch):
     """Each level's heap block, cut out of a universal payload."""
-    blocks, offset = [], 37
-    for _ in sketch.levels:
-        offset += 16
-        (nbytes,) = struct.unpack_from("<I", data, offset)
-        offset += 4 + nbytes
-        _, count = struct.unpack_from("<II", data, offset)
-        blocks.append(bytes(data[offset:offset + 8 + 16 * count]))
-        offset += 8 + 16 * count
-    assert offset == len(data)
-    return blocks
+    layout = universal_layout(data)
+    assert len(layout) == len(sketch.levels)
+    return [bytes(data[level.capacity:level.end]) for level in layout]
 
 
 class TestHeapBlocks:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.hashing import tabulation
 from repro.hashing.tabulation import (
     TabulationHash,
+    derived_seeds,
     gather_packed,
     pack_tabulation_fields,
     tabulation_family,
@@ -265,3 +266,54 @@ class TestFamilyMemo:
         assert again is not first
         assert again._derived == {}
         assert np.array_equal(again.stacked, first.stacked)
+
+
+def _reference_seeds(seed, count):
+    """The draws ``UniversalSketch`` made from a fresh master stream
+    before they were memoised."""
+    master = random.Random(seed)
+    return tuple(master.randrange(1 << 62) for _ in range(count))
+
+
+@pytest.fixture
+def fresh_seeds(monkeypatch):
+    """An empty sub-seed memo for the test, restored afterwards."""
+    monkeypatch.setattr(tabulation, "_SEEDS_CACHE", {})
+    return tabulation
+
+
+class TestSeedMemo:
+    def test_memoised_seeds_equal_a_fresh_derivation(self, fresh_seeds):
+        for seed, count in ((0, 1), (9, 7), (1 << 40, 18), (-3, 4)):
+            first = derived_seeds(seed, count)
+            assert first == _reference_seeds(seed, count)
+            assert derived_seeds(seed, count) is first
+        # The memoised draws are what a sketch hands its sampler and
+        # levels, so equal-seed sketches hash exactly as before.
+        from repro.core.universal import UniversalSketch
+        u = UniversalSketch(levels=5, rows=2, width=256, heap_size=16,
+                            seed=9)
+        sampler_seed, *level_seeds = _reference_seeds(9, 7)
+        assert u.sampler.seed == sampler_seed
+        assert [lv.sketch.seed for lv in u.levels] == level_seeds
+
+    def test_unseeded_draws_differ_and_are_never_cached(self, fresh_seeds):
+        a, b = derived_seeds(None, 4), derived_seeds(None, 4)
+        assert a != b
+        assert fresh_seeds._SEEDS_CACHE == {}
+        from repro.core.universal import UniversalSketch
+        u, v = (UniversalSketch(levels=2, rows=1, width=8, heap_size=2)
+                for _ in range(2))
+        assert u.sampler.seed != v.sampler.seed
+        assert fresh_seeds._SEEDS_CACHE == {}
+
+    def test_memo_clears_at_its_bound(self, fresh_seeds, monkeypatch):
+        monkeypatch.setattr(fresh_seeds, "_FAMILY_CACHE_MAX", 3)
+        first = derived_seeds(0, 2)
+        for seed in (1, 2):
+            derived_seeds(seed, 2)
+        assert len(fresh_seeds._SEEDS_CACHE) == 3
+        derived_seeds(3, 2)              # over the bound: cleared first
+        assert len(fresh_seeds._SEEDS_CACHE) == 1
+        again = derived_seeds(0, 2)      # drawn again, equal values
+        assert again is not first and again == first

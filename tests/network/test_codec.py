@@ -16,17 +16,15 @@ from repro.network.codec import (
     frame_info,
 )
 from repro.core.universal import UniversalSketch
+from tests.core.wire_layout import (
+    LEVEL0_AT,
+    UNIVERSAL_LEVELS_AT,
+    UNIVERSAL_WIDTH_AT,
+    ums1_body,
+    universal_layout,
+)
 
 _HEADER = struct.Struct("<4sBBqqII")
-
-# Universal body layout: magic(4) tag(1) levels(4) rows(4) width(4)
-# heap(4) seed(8) packets(8), then per level: packets(8) weight(8)
-# table nbytes(4) table, heap capacity(4) heap count(4) items(16 each).
-_WIDTH_AT = 13
-_LEVEL0_AT = 37
-_TABLE_BYTES = 2 * 64 * 8
-_HEAP_COUNT_AT = _LEVEL0_AT + 16 + 4 + _TABLE_BYTES + 4
-_HEAP_ITEMS_AT = _HEAP_COUNT_AT + 4
 
 
 def factory():
@@ -75,9 +73,11 @@ class TestRoundTrips:
 
     def test_frame_layout(self):
         """UMF1 header (type FULL, epoch 0, NO_BASE, payload CRC) over
-        the level-6 zlib of the serialized sketch."""
+        the level-1 run-length zlib stream of the serialized sketch."""
         sketch = fill(factory())
-        payload = zlib.compress(serialization.dumps(sketch), 6)
+        packer = zlib.compressobj(1, strategy=zlib.Z_RLE)
+        payload = packer.compress(serialization.dumps(sketch)) \
+            + packer.flush()
         header = _HEADER.pack(b"UMF1", FRAME_FULL, 1, 0, NO_BASE,
                               len(payload), zlib.crc32(payload))
         assert DeltaEncoder().encode(sketch) == header + payload
@@ -164,24 +164,26 @@ class TestHostileFrames:
 
     def test_hostile_geometry_rejected(self):
         def mutate(body):
-            struct.pack_into("<I", body, _WIDTH_AT, 1 << 31)
+            struct.pack_into("<I", body, UNIVERSAL_WIDTH_AT, 1 << 31)
             return body
         with pytest.raises(CodecError, match="width"):
             DeltaDecoder().decode(self.hostile(mutate))
 
     def test_heap_count_above_capacity_rejected(self):
         def mutate(body):
-            struct.pack_into("<I", body, _HEAP_COUNT_AT, 1 << 20)
+            count_at = universal_layout(body)[0].count
+            struct.pack_into("<I", body, count_at, 1 << 20)
             return body
         with pytest.raises(CodecError, match="capacity"):
             DeltaDecoder().decode(self.hostile(mutate))
 
     def test_duplicate_heap_key_rejected(self):
         def mutate(body):
-            (count,) = struct.unpack_from("<I", body, _HEAP_COUNT_AT)
+            level0 = universal_layout(body)[0]
+            (count,) = struct.unpack_from("<I", body, level0.count)
             assert count >= 2
-            body[_HEAP_ITEMS_AT + 16:_HEAP_ITEMS_AT + 24] = \
-                body[_HEAP_ITEMS_AT:_HEAP_ITEMS_AT + 8]
+            items = level0.items
+            body[items + 16:items + 24] = body[items:items + 8]
             return body
         with pytest.raises(CodecError, match="twice"):
             DeltaDecoder().decode(self.hostile(mutate))
@@ -205,6 +207,29 @@ class TestHostileFrames:
         for bad in (payload[:-4], payload + b"\0"):
             with pytest.raises(CodecError, match="zlib"):
                 DeltaDecoder().decode(reframe(frame, body=bad))
+
+    def test_geometry_beyond_payload_rejected(self):
+        """A real header whose geometry is rewritten to the ceilings, in
+        a frame of about 60 bytes, must not demand 65 x 512 x 2**24
+        counters of memory."""
+        header = bytearray(serialization.dumps(factory())[:LEVEL0_AT])
+        struct.pack_into("<III", header, UNIVERSAL_LEVELS_AT,
+                         64, 512, 1 << 24)  # levels, rows, width
+        frame = reframe(DeltaEncoder().encode(factory()), flags=1,
+                        body=zlib.compress(bytes(header)))
+        assert len(frame) <= 64
+        with pytest.raises(CodecError, match="counters"):
+            DeltaDecoder().decode(frame)
+
+    def test_ums1_body_rejected(self):
+        """A body in the int64 counter layout (magic UMS1) is refused,
+        compressed or not."""
+        body = ums1_body(fill(factory()))
+        frame = DeltaEncoder().encode(factory())
+        for flags, payload in ((0, body), (1, zlib.compress(body, 6))):
+            with pytest.raises(CodecError, match="UMS1"):
+                DeltaDecoder().decode(
+                    reframe(frame, flags=flags, body=payload))
 
     def test_type_2_frame_rejected(self):
         frame = DeltaEncoder().encode(fill(factory()))

@@ -1,5 +1,8 @@
 """Tests for the resilient aggregation tree (in-process simulation)."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,9 @@ from repro.network.hierarchy import (
     ResiliencePolicy,
     TreePlan,
 )
+from repro.core import serialization
 from repro.core.universal import UniversalSketch
+from tests.core.wire_layout import LEVEL0_AT, UNIVERSAL_LEVELS_AT
 
 
 def factory():
@@ -178,6 +183,66 @@ class TestHealthyTree:
             assert decoded.value == 24
 
 
+class TestLevelGauges:
+    """Published tree epochs export the merged sketch's per-level
+    gauges, as a single controller's epochs do."""
+
+    def _gauges(self, registry, levels):
+        return [(registry.get("univmon_level_heap_occupancy",
+                              level=str(j)),
+                 registry.get("univmon_level_packets", level=str(j)))
+                for j in range(levels)]
+
+    def test_published_epoch_sets_level_gauges(self):
+        from repro.controlplane.apps.cardinality import CardinalityApp
+        with use_registry(MetricsRegistry()) as registry:
+            net = Net(n=3, fanout=4)
+            capture = _Capture()
+            net.coord.register(CardinalityApp()).register(capture)
+            net.feed()
+            report = net.epoch()
+            merged = capture.sketch
+            assert report.results["coverage"]["status"] == "published"
+            gauges = self._gauges(registry, len(merged.levels))
+            for j, (occupancy, packets) in enumerate(gauges):
+                assert occupancy.value == len(merged.levels[j].topk)
+                assert packets.value == merged.levels[j].packets
+            assert gauges[0][1].value == report.packets == net.fed
+
+    def test_withheld_epoch_leaves_level_gauges(self):
+        with use_registry(MetricsRegistry()) as registry:
+            net = Net(n=3, fanout=4, policy=ResiliencePolicy(
+                min_coverage=0.99, fail_open=False))
+            net.feed()
+            net.epoch()
+            before = [(occupancy.value, packets.value) for occupancy,
+                      packets in self._gauges(registry, 5)]
+            assert before[0][1] == net.fed
+            net.switches[net.names[0]].kill()
+            net.feed()
+            report = net.epoch()
+            assert report.results["coverage"]["status"] == "withheld"
+            after = [(occupancy.value, packets.value) for occupancy,
+                     packets in self._gauges(registry, 5)]
+            assert after == before
+
+
+class _Capture:
+    """A registered app that keeps the published epoch sketch."""
+
+    name = "capture"
+
+    def __init__(self):
+        self.sketch = None
+
+    def on_sketch(self, sketch, epoch_index):
+        self.sketch = sketch
+        return {}
+
+    def reset(self):
+        self.sketch = None
+
+
 class TestDegradation:
     def test_dead_rack_reported_as_missing_subtree(self):
         net = Net()
@@ -247,6 +312,32 @@ class TestDegradation:
         report = net.epoch()
         assert report.results["coverage"]["status"] == "withheld"
         assert "cardinality" not in report.results
+
+    def test_frame_declaring_more_than_it_carries_fails_one_leaf(self):
+        """A leaf whose frame declares the ceiling geometry in a few
+        dozen compressed bytes is one failed poll, not an aborted (or
+        memory-exhausting) epoch."""
+        from repro.controlplane.apps.cardinality import CardinalityApp
+        header = bytearray(serialization.dumps(factory())[:LEVEL0_AT])
+        struct.pack_into("<III", header, UNIVERSAL_LEVELS_AT,
+                         64, 512, 1 << 24)  # levels, rows, width
+        body = zlib.compress(bytes(header))
+        frame = struct.pack("<4sBBqqII", b"UMF1", 1, 1, 0, -1, len(body),
+                            zlib.crc32(body)) + body
+        assert len(frame) <= 64
+        net = Net(n=8, fanout=4)
+        net.coord.register(CardinalityApp())
+        bad = net.names[5]
+        net.links[bad].poll = lambda: frame
+        net.feed()
+        report = net.epoch()
+        cov = report.results["coverage"]
+        assert cov["status"] == "published_degraded"
+        assert cov["missing_switches"] == [bad]
+        assert cov["switches_covered"] == 7
+        assert cov["health"][bad]["failures"] == 1
+        assert cov["health"][bad]["successes"] == 0
+        assert report.results["cardinality"]["distinct"] > 0
 
     def test_all_leaves_failed_yields_empty_epoch(self):
         from repro.controlplane.apps.cardinality import CardinalityApp

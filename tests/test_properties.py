@@ -124,11 +124,26 @@ class TestHeavyChanges:
             assert fwd_map[key] == pytest.approx(-rev_map[key], abs=1e-6)
 
 
+#: Counters written straight into a table: anything an int64 holds,
+#: weighted toward the edges of the 1-, 2- and 4-byte widths.
+extreme_counters = st.lists(
+    st.one_of(
+        st.integers(-(1 << 63), (1 << 63) - 1),
+        st.sampled_from([edge + d for bits in (7, 15, 31, 63)
+                         for edge in (-(1 << bits), (1 << bits) - 1)
+                         for d in (-1, 0, 1)
+                         if -(1 << 63) <= edge + d < (1 << 63)])),
+    max_size=12)
+
+
 class TestSerializationRoundTrip:
-    @given(streams, st.integers(0, 1 << 30))
+    @given(streams, st.integers(0, 1 << 30), extreme_counters)
     @settings(max_examples=30, deadline=None)
-    def test_universal_roundtrip_any_stream(self, keys, seed):
+    def test_universal_roundtrip_any_stream(self, keys, seed, extremes):
         original = sketch_of(keys, seed=seed)
+        for i, value in enumerate(extremes):
+            table = original.levels[i % len(original.levels)].sketch.table
+            table.flat[(i * 37) % table.size] = value
         back = serialization.loads(serialization.dumps(original))
         assert back.total_weight == original.total_weight
         for lo, lb in zip(original.levels, back.levels):
