@@ -3,8 +3,8 @@
 PYTHON ?= python
 
 .PHONY: install test test-network test-network-scale test-acceptance \
-        test-parallel test-scenarios test-detect test-service coverage \
-        bench bench-quick bench-query bench-network bench-parallel \
+        test-scenarios test-detect test-service coverage \
+        bench bench-quick bench-query bench-network \
         bench-service bench-smoke results examples lint clean
 
 install:
@@ -71,14 +71,6 @@ test-detect:
 	$(PYTHON) -m pytest tests/acceptance/test_detect.py -q \
 	    -m acceptance -o addopts=''
 
-# Sharded multi-process ingest suite: shard/merge exactness, crash and
-# stall handling, degradation paths, under both fork and spawn start
-# methods. The tightened SIGALRM watchdog turns a wedged worker or a
-# deadlocked result queue into a fast failure instead of a hung CI run.
-test-parallel:
-	REPRO_TEST_TIMEOUT=60 PYTHONPATH=src:$(PYTHONPATH) \
-	$(PYTHON) -m pytest tests/dataplane/test_parallel.py -q
-
 # Always-on service suites: publication-ring atomicity under
 # concurrent readers, SSE backpressure, ingest-loop sealing/drain,
 # end-to-end HTTP over a live service, memo collapse, graceful
@@ -123,32 +115,16 @@ bench-network:
 	$(PYTHON) -m pytest benchmarks/bench_network_scale.py -q -s
 	$(PYTHON) benchmarks/collect_results.py
 
-# Serial-vs-pooled crossover sweep on the persistent shard worker pool:
-# one warm pool per worker count (ShardWorkerPool.run_epoch, what
-# process_trace(workers=k) runs) against one serial update_array per
-# stream, swept across stream sizes, with the by_workers crossover curve
-# recorded into BENCH_throughput.json and spliced into EXPERIMENTS.md by
-# collect_results.py. The full 1M-10M sweep and the >= 2x floor only
-# engage on >= 4-core hosts; smaller hosts record a reduced curve (and
-# the floor test skips cleanly).
-bench-parallel:
-	PYTHONPATH=src:$(PYTHONPATH) \
-	$(PYTHON) -m pytest benchmarks/bench_throughput.py -q -s \
-	    -k "crossover or sharded or workers_sweep"
-	$(PYTHON) benchmarks/collect_results.py
-
 # Ingest-path smoke: asserts the bulk-update speedup floors over the
-# np.add.at baseline, the BatchIngest rates, the worker-pool
-# exactness sweep, and the pool crossover curve (plus the >= 2x floors
-# on >= 4-core hosts), and refreshes
+# np.add.at baseline and refreshes
 # benchmarks/results/BENCH_throughput.json. Runs the remote-collection
-# suites, the statistical acceptance suite, the sharded-ingest suite,
-# and the obs coverage gate first, so a broken poll path or a degraded
-# estimator fails the smoke check before any benchmark numbers are
-# published. The query-engine floor rides along (quick workload) so a
-# control-plane regression blocks the smoke too, and the 200-switch
-# chaos suite plus the aggregation-tree codec floor (quick sweep) gate
-# the network collection path.  The scenario suites ride along too
+# suites, the statistical acceptance suite and the obs coverage gate
+# first, so a broken poll path or a degraded estimator fails the smoke
+# check before any benchmark numbers are published. The query-engine
+# floor rides along (quick workload) so a control-plane regression
+# blocks the smoke too, and the 200-switch chaos suite plus the
+# aggregation-tree codec floor (quick sweep) gate the network
+# collection path.  The scenario suites ride along too
 # (test-scenarios prerequisite + the per-scenario ingest/error bench),
 # so a degraded scenario ceiling or a broken scenario generator blocks
 # the smoke as well.  The detection suites (test-detect prerequisite +
@@ -157,16 +133,15 @@ bench-parallel:
 # test-service plus the quick-mode service load bench (latency sweep,
 # ingest-isolation floor, memo collapse).
 bench-smoke: test-network test-network-scale test-acceptance \
-             test-parallel test-scenarios test-detect test-service coverage
+             test-scenarios test-detect test-service coverage
 	REPRO_BENCH_QUICK=1 PYTHONPATH=src:$(PYTHONPATH) \
 	$(PYTHON) -m pytest benchmarks/bench_throughput.py \
 	    benchmarks/bench_query_latency.py \
 	    benchmarks/bench_network_scale.py \
 	    benchmarks/bench_scenarios.py \
 	    benchmarks/bench_detect.py -q -s \
-	    -k "speedup or batch_ingest or workers_sweep or crossover or matches \
-	        or snapshot or bytes_on_wire or merge_time or scenario_ingest \
-	        or rule_eval"
+	    -k "speedup or matches or snapshot or bytes_on_wire or merge_time \
+	        or scenario_ingest or rule_eval"
 	REPRO_BENCH_QUICK=1 PYTHONPATH=src:$(PYTHONPATH) \
 	$(PYTHON) -m pytest benchmarks/bench_service.py -q -s
 

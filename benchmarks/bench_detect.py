@@ -14,12 +14,10 @@ builds exactly one snapshot per sealed epoch for *all* registered apps
 pipeline's marginal cost is evaluation, not the build.  The cold build
 time is recorded alongside for context.
 
-Results go to ``benchmarks/results/BENCH_detect.json``.
+Results merge into ``benchmarks/results/BENCH_detect.json``.
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -28,7 +26,7 @@ from repro.core.query import QueryEngine
 from repro.core.universal import UniversalSketch
 from repro.detect import DetectionPipeline, Rule
 
-from conftest import QUICK
+from conftest import QUICK, write_results_json
 
 _RESULTS = {}
 
@@ -65,10 +63,7 @@ TEN_RULES = (
 def _emit_results_json():
     yield
     if _RESULTS:
-        results_dir = Path(__file__).parent / "results"
-        results_dir.mkdir(exist_ok=True)
-        (results_dir / "BENCH_detect.json").write_text(
-            json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
+        write_results_json("BENCH_detect.json", _RESULTS)
 
 
 def make_pipeline(n_rules):

@@ -25,7 +25,7 @@ ratio measures what zlib adds on top of that.
 ``int64``, zlib level 6): encode must be >= 2x and decode >= 1x, and
 both must decode to the same sketches.
 
-Results go to ``benchmarks/results/BENCH_network.json`` plus an ASCII
+Results merge into ``benchmarks/results/BENCH_network.json``, plus an ASCII
 bytes-vs-switch-count figure in ``network_scale.txt``; both are spliced
 into EXPERIMENTS.md by ``collect_results.py``.
 """
@@ -57,7 +57,7 @@ from repro.network.hierarchy import HierarchicalCoordinator, TreePlan
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.core.universal import UniversalSketch
 
-from conftest import QUICK
+from conftest import QUICK, write_results_json
 
 _RESULTS = {}
 
@@ -79,10 +79,7 @@ def _emit_results_json():
     yield
     if _RESULTS:
         _RESULTS["cpus"] = os.cpu_count()
-        results_dir = Path(__file__).parent / "results"
-        results_dir.mkdir(exist_ok=True)
-        (results_dir / "BENCH_network.json").write_text(
-            json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
+        write_results_json("BENCH_network.json", _RESULTS)
 
 
 class Fleet:

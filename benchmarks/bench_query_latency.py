@@ -13,13 +13,12 @@ L1, entropy, F2 — evaluated against one sealed sketch two ways:
   honest cost of one build + five array-reduction estimates.
 
 The release floor is a >= 5x speedup at the ISSUE geometry (16 levels,
-k=200 heaps).  Results go to ``benchmarks/results/BENCH_query.json``.
+k=200 heaps).  Results merge into
+``benchmarks/results/BENCH_query.json``.
 """
 
-import json
 import math
 import time
-from pathlib import Path
 
 import pytest
 
@@ -30,7 +29,7 @@ from repro.core.gsum import estimate_gsum_scalar
 from repro.core.query import QueryEngine, Statistic
 from repro.core.universal import UniversalSketch
 
-from conftest import QUICK
+from conftest import QUICK, write_results_json
 
 _RESULTS = {}
 
@@ -55,10 +54,7 @@ STATISTICS = (
 def _emit_results_json():
     yield
     if _RESULTS:
-        results_dir = Path(__file__).parent / "results"
-        results_dir.mkdir(exist_ok=True)
-        (results_dir / "BENCH_query.json").write_text(
-            json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
+        write_results_json("BENCH_query.json", _RESULTS)
 
 
 @pytest.fixture(scope="module")

@@ -14,14 +14,12 @@ rest) and the scenario x statistic error table is rewritten to
 ``scenarios.txt`` for the EXPERIMENTS.md splice.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import QUICK, write_result
+from conftest import QUICK, write_result, write_results_json
 
 from repro.core.gsum import (
     estimate_cardinality,
@@ -59,24 +57,12 @@ def _table(results):
 
 @pytest.fixture(scope="module", autouse=True)
 def _emit_results_json():
-    """Merged-JSON persistence (the BENCH_throughput pattern): a
-    filtered run updates its own scenarios and the summary table is
+    """A filtered run updates its own scenarios; the summary table is
     rebuilt from the merged file, not just this run's entries."""
     yield
-    if not _RESULTS:
-        return
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    out = results_dir / "BENCH_scenarios.json"
-    merged = {}
-    if out.exists():
-        try:
-            merged = json.loads(out.read_text())
-        except ValueError:
-            merged = {}
-    merged.update(_RESULTS)
-    out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-    write_result("scenarios.txt", _table(merged))
+    if _RESULTS:
+        merged = write_results_json("BENCH_scenarios.json", _RESULTS)
+        write_result("scenarios.txt", _table(merged))
 
 
 @pytest.mark.parametrize("name", scenario_names())

@@ -13,7 +13,7 @@ ingest running the whole time):
 - **memoisation**: identical concurrent queries collapse to one
   evaluation, and snapshot builds equal sealed epochs exactly.
 
-Results go to ``benchmarks/results/BENCH_service.json`` and are
+Results merge into ``benchmarks/results/BENCH_service.json`` and are
 spliced into EXPERIMENTS.md by ``collect_results.py``.
 """
 
@@ -25,7 +25,6 @@ import sys
 import threading
 import time
 import urllib.request
-from pathlib import Path
 
 import pytest
 
@@ -33,7 +32,7 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.core.universal import UniversalSketch
 from repro.service import MonitoringService, ServiceConfig
 
-from conftest import QUICK
+from conftest import QUICK, write_results_json
 
 _RESULTS = {}
 
@@ -65,10 +64,7 @@ QUERY_PAYLOAD = json.dumps(
 def _emit_results_json():
     yield
     if _RESULTS:
-        results_dir = Path(__file__).parent / "results"
-        results_dir.mkdir(exist_ok=True)
-        (results_dir / "BENCH_service.json").write_text(
-            json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
+        write_results_json("BENCH_service.json", _RESULTS)
 
 
 def sketch_factory():

@@ -15,26 +15,20 @@ behind every Count Sketch, Count-Min and k-ary sketch whose width is not
 a power of two) against a frozen copy of the per-row gather loop it
 replaced, and ``test_speedup_topk_offer`` pins the array-backed
 ``TopK.offer_many`` against a frozen copy of the dict-and-``heapq``
-heap it replaced.  ``test_sharded_crossover``
-sweeps serial ingest (one ``update_array`` per stream, what
-``process_trace(workers=1)`` runs) against ``ShardWorkerPool.run_epoch``
-(what ``process_trace(workers=k)`` runs) across stream sizes to locate
-the point where the persistent worker pool overtakes one busy core.
-Results are written to ``benchmarks/results/BENCH_throughput.json``.
+heap it replaced.  Results merge into
+``benchmarks/results/BENCH_throughput.json``.
 """
 
 import heapq
-import json
 import os
 import platform
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import write_results_json
 from repro.dataplane.keys import src_ip_key
-from repro.dataplane.replay import BatchIngest
 from repro.core.universal import UniversalSketch
 from repro.hashing.tabulation import byte_view, tabulation_family
 from repro.opensketch.tasks import (
@@ -56,23 +50,11 @@ _RESULTS = {}
 
 @pytest.fixture(scope="module", autouse=True)
 def _emit_results_json():
-    """Persist whatever the speedup/ingest tests measured, even on a
-    partial run.  Existing keys survive, so a ``-k``-filtered run (e.g.
-    ``make bench-parallel``) refreshes its own entries without dropping
-    the rest of the file."""
+    """Persist whatever the speedup tests measured, even on a partial
+    run."""
     yield
     if _RESULTS:
-        results_dir = Path(__file__).parent / "results"
-        results_dir.mkdir(exist_ok=True)
-        out = results_dir / "BENCH_throughput.json"
-        merged = {}
-        if out.exists():
-            try:
-                merged = json.loads(out.read_text())
-            except ValueError:
-                merged = {}
-        merged.update(_RESULTS)
-        out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+        write_results_json("BENCH_throughput.json", _RESULTS)
 
 
 @pytest.fixture(scope="module")
@@ -383,214 +365,6 @@ def test_speedup_universal_bulk(keys):
     assert speedup >= 2.0, (
         f"UniversalSketch bulk path is only {speedup:.2f}x the np.add.at "
         f"baseline (need >= 2x)")
-
-
-def test_batch_ingest_throughput(bench_trace):
-    """End-to-end chunked ingest of the bench trace via BatchIngest."""
-    rates = {}
-    for chunk_size in (2048, 8192, 30_000):
-        u = UniversalSketch(levels=8, rows=5, width=2048, heap_size=64,
-                            seed=1)
-        ingest = BatchIngest(u, chunk_size=chunk_size,
-                             key_function=src_ip_key)
-        report = ingest.ingest(bench_trace)
-        assert report.packets == len(bench_trace)
-        assert report.chunks == -(-len(bench_trace) // chunk_size)
-        rates[str(chunk_size)] = {
-            "packets_per_second": round(report.packets_per_second),
-            "chunks": report.chunks,
-        }
-    _RESULTS["batch_ingest"] = {
-        "packets": len(bench_trace),
-        "by_chunk_size": rates,
-    }
-
-
-def _universal():
-    return UniversalSketch(levels=8, rows=5, width=2048, heap_size=64, seed=1)
-
-
-def _timed_pps(fn, packets):
-    """``(fn(), packets per second of that one call)``."""
-    t0 = time.perf_counter()
-    out = fn()
-    return out, packets / (time.perf_counter() - t0)
-
-
-def _serial_ingest(stream):
-    """The serial baseline: one ``update_array`` of the whole stream on a
-    fresh sketch — exactly what ``process_trace(workers=1)`` runs."""
-    sketch = _universal()
-    _, pps = _timed_pps(lambda: sketch.update_array(stream), len(stream))
-    return sketch, pps
-
-
-def _pooled_ingest(pool, stream):
-    """One epoch of ``stream`` through ``pool`` — exactly what
-    ``process_trace(workers=pool.workers)`` runs."""
-    sketch = _universal()
-    return _timed_pps(lambda: pool.run_epoch(sketch, stream), len(stream))
-
-
-def _assert_counters_match(serial, merged):
-    for ls, lp in zip(serial.levels, merged.levels):
-        assert np.array_equal(ls.sketch.table, lp.sketch.table)
-        assert ls.packets == lp.packets
-        assert ls.weight == lp.weight
-
-
-def test_pool_workers_sweep(keys):
-    """Pooled ingest of the bench trace: exactness check + rate sweep.
-
-    ``workers=1`` is the serial path; 2 and 4 workers run one epoch on
-    a :class:`ShardWorkerPool`.  Every pooled epoch must reproduce the
-    serial level counters bit for bit (sketch linearity).  Each point
-    records two rates: the first epoch (for a pool, it pays the one-time
-    fork + slab allocation) and a second one on the now-warm pool — the
-    steady-state rate every later epoch sees.
-    """
-    from repro.dataplane.parallel import ShardWorkerPool, \
-        shared_memory_available
-
-    serial, cold = _serial_ingest(keys)
-    _, warm = _serial_ingest(keys)
-    sweep = {"1": {"packets_per_second": round(cold),
-                   "warm_packets_per_second": round(warm)}}
-    for workers in (2, 4) if shared_memory_available() else ():
-        pool = ShardWorkerPool(workers=workers)
-        try:
-            first, cold = _pooled_ingest(pool, keys)  # forks the pool
-            second, warm = _pooled_ingest(pool, keys)  # pool reused
-        finally:
-            pool.close()
-        for merged in (first, second):
-            _assert_counters_match(serial, merged)
-        sweep[str(workers)] = {"packets_per_second": round(cold),
-                               "warm_packets_per_second": round(warm)}
-    _RESULTS["sharded_ingest"] = {
-        "packets": int(len(keys)),
-        "cpus": os.cpu_count(),
-        "shared_memory": shared_memory_available(),
-        "by_workers": sweep,
-    }
-
-
-def test_speedup_sharded_ingest(bench_trace):
-    """>= 2x serial pps with a warm 4-worker pool — needs >= 4 cores.
-
-    The pool is warmed with one throwaway epoch before timing so the
-    floor measures the steady state the persistent pool exists for (hot
-    workers, slab already mapped), not the one-time fork cost.  On
-    smaller hosts the process pool cannot beat one busy core, so the
-    floor is skipped (recorded in the results JSON as skipped) instead
-    of producing a meaningless failure.
-    """
-    from repro.dataplane.parallel import ShardWorkerPool, \
-        shared_memory_available
-
-    cpus = os.cpu_count() or 1
-    if cpus < 4 or not shared_memory_available():
-        reason = (f"needs >= 4 CPUs and shared memory "
-                  f"(host has {cpus} CPU(s), shm="
-                  f"{shared_memory_available()})")
-        _RESULTS["sharded_speedup"] = {"skipped": reason}
-        pytest.skip(reason)
-
-    # A stream large enough that scatter/merge overhead amortises.
-    quick = os.environ.get("REPRO_BENCH_QUICK", "") == "1"
-    gen = np.random.default_rng(3)
-    big = gen.integers(0, 1 << 20,
-                       2_000_000 if quick else 10_000_000).astype(np.uint64)
-
-    _, serial_pps = _serial_ingest(big)
-    with ShardWorkerPool(workers=4, start_method="fork") as pool:
-        _pooled_ingest(pool, big[:200_000])  # warm the workers
-        _, sharded_pps = _pooled_ingest(pool, big)  # steady-state epoch
-    speedup = sharded_pps / serial_pps
-    _RESULTS["sharded_speedup"] = {
-        "packets": int(len(big)),
-        "cpus": cpus,
-        "serial_mpps": round(serial_pps / 1e6, 2),
-        "sharded_mpps": round(sharded_pps / 1e6, 2),
-        "speedup": round(speedup, 2),
-    }
-    assert speedup >= 2.0, (
-        f"4-worker sharded ingest is only {speedup:.2f}x serial "
-        f"(need >= 2x on a >= 4-core host)")
-
-
-def test_sharded_crossover():
-    """Serial-vs-pooled crossover curve: pps by stream size and workers.
-
-    Every sweep point below reuses one persistent :class:`ShardWorkerPool`
-    per worker count (workers forked once, slab allocated once), so the
-    recorded rates measure the per-epoch marginal cost of sharding — the
-    quantity that decides where the crossover sits.  The serial point is
-    one ``update_array`` of the whole stream.  On >= 4-core hosts the
-    sweep runs at 1M-10M packets and enforces the >= 2x floor at the
-    largest size; smaller hosts record a scaled-down curve with no floor
-    so BENCH_throughput.json always carries crossover data.  Merged
-    counters are checked bit-for-bit against serial at every point.
-    """
-    from repro.dataplane.parallel import ShardWorkerPool, \
-        shared_memory_available
-
-    if not shared_memory_available():
-        _RESULTS["sharded_crossover"] = {
-            "skipped": "POSIX shared memory unavailable"}
-        pytest.skip("sharded ingest needs POSIX shared memory")
-
-    cpus = os.cpu_count() or 1
-    quick = os.environ.get("REPRO_BENCH_QUICK", "") == "1"
-    full = cpus >= 4
-    if full:
-        sizes = (1_000_000, 4_000_000) if quick \
-            else (1_000_000, 4_000_000, 10_000_000)
-        worker_counts = (2, 4)
-    else:
-        sizes = (300_000, 1_000_000)
-        worker_counts = (2,)
-
-    gen = np.random.default_rng(7)
-    pools = {w: ShardWorkerPool(workers=w) for w in worker_counts}
-    by_size = {}
-    try:
-        warmup = gen.integers(0, 1 << 20, 100_000).astype(np.uint64)
-        for pool in pools.values():
-            _pooled_ingest(pool, warmup)  # fork workers, map the slab
-        for size in sizes:
-            stream = gen.integers(0, 1 << 20, size).astype(np.uint64)
-            serial, serial_pps = _serial_ingest(stream)
-            point = {"serial_pps": round(serial_pps), "by_workers": {}}
-            for workers, pool in pools.items():
-                merged, pps = _pooled_ingest(pool, stream)
-                _assert_counters_match(serial, merged)
-                point["by_workers"][str(workers)] = {
-                    "packets_per_second": round(pps),
-                    "speedup": round(pps / serial_pps, 2),
-                }
-            by_size[str(size)] = point
-    finally:
-        for pool in pools.values():
-            pool.close()
-
-    crossover = next(
-        (size for size in sizes
-         if max(v["packets_per_second"]
-                for v in by_size[str(size)]["by_workers"].values())
-         >= by_size[str(size)]["serial_pps"]), None)
-    _RESULTS["sharded_crossover"] = {
-        "cpus": cpus,
-        "full_sweep": full,
-        "by_size": by_size,
-        "crossover_packets": crossover,
-    }
-    if full:
-        largest = by_size[str(sizes[-1])]
-        best = max(v["speedup"] for v in largest["by_workers"].values())
-        assert best >= 2.0, (
-            f"pooled sharded ingest peaks at {best:.2f}x serial at "
-            f"{sizes[-1]} packets (need >= 2x on a >= 4-core host)")
 
 
 def test_bulk_countsketch(benchmark, keys):

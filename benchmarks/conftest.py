@@ -6,6 +6,7 @@ EXPERIMENTS.md.  Set ``REPRO_BENCH_RUNS`` / ``REPRO_BENCH_QUICK=1`` to
 trade fidelity for speed during development.
 """
 
+import json
 import os
 from pathlib import Path
 
@@ -47,6 +48,24 @@ def write_result(name: str, text: str, points=None, metrics=None,
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / name).write_text(text + "\n")
     print("\n" + text)
+
+
+def write_results_json(name: str, results: dict) -> dict:
+    """Merge ``results`` into ``results/<name>`` and return the merged
+    dict.  Keys this run did not produce survive, so a ``-k``-filtered
+    run refreshes its own entries without dropping the rest of the
+    file; an unreadable file starts over."""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    out = RESULTS_DIR / name
+    merged = {}
+    if out.exists():
+        try:
+            merged = json.loads(out.read_text())
+        except ValueError:
+            merged = {}
+    merged.update(results)
+    out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    return merged
 
 
 @pytest.fixture(scope="session")

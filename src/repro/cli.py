@@ -95,10 +95,6 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
                    help="sketch memory budget per epoch")
     p.add_argument("--key", default="src_ip",
                    choices=["src_ip", "dst_ip", "src_dst", "five_tuple"])
-    p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="shard each epoch's ingest across N worker "
-                        "processes (sketch linearity keeps the merge "
-                        "exact; 1 = in-process)")
     p.add_argument("--metrics-json", default=None, metavar="PATH",
                    help="collect metrics during the run and write a JSON "
                         "registry snapshot to PATH")
@@ -297,8 +293,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
                    help="sketch memory budget per epoch")
     p.add_argument("--key", default="src_ip",
                    choices=["src_ip", "dst_ip", "src_dst", "five_tuple"])
-    p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="shard ingest across N worker processes")
     p.add_argument("--chunk-size", type=int, default=4096,
                    help="packets per ingest chunk")
     p.add_argument("--pace", type=float, default=0.0, metavar="SECONDS",
@@ -450,8 +444,7 @@ def _run_monitor(args: argparse.Namespace) -> int:
     factory = _sketch_factory(args.memory_kb)
     controller = Controller(sketch_factory=factory,
                             key_function=key_function,
-                            epoch_seconds=args.epoch,
-                            workers=args.workers)
+                            epoch_seconds=args.epoch)
     tasks = [t.strip() for t in args.tasks.split(",") if t.strip()]
     for task in tasks:
         if task == "hh":
@@ -469,10 +462,7 @@ def _run_monitor(args: argparse.Namespace) -> int:
             return 2
 
     show_ip = key_function.reversible and args.key in ("src_ip", "dst_ip")
-    try:
-        _print_reports(controller.run_trace(trace), show_ip)
-    finally:
-        controller.close()  # release the shard worker pool, if any
+    _print_reports(controller.run_trace(trace), show_ip)
     return 0
 
 
@@ -774,10 +764,7 @@ def _detect_monitor(args: argparse.Namespace) -> int:
                             key_function=KEY_FUNCTIONS[args.key],
                             epoch_seconds=args.epoch)
     controller.register(pipeline)
-    try:
-        reports = controller.run_trace(trace)
-    finally:
-        controller.close()
+    reports = controller.run_trace(trace)
 
     if args.json:
         payload = {
@@ -943,23 +930,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"bad rules: {exc}", file=sys.stderr)
             return 2
 
-    try:
-        config = ServiceConfig(
-            host=args.host, port=args.port, epoch_seconds=args.epoch,
-            ring_depth=args.ring, memo_size=args.memo,
-            chunk_size=args.chunk_size, chunk_sleep=args.pace,
-            max_epochs=args.epochs if args.epochs > 0 else None)
-    except ConfigurationError as exc:
-        print(f"{exc}", file=sys.stderr)
-        return 2
     factory = _sketch_factory(args.memory_kb)
 
     # The service serves /metrics, so it always runs instrumented.
     with use_registry(MetricsRegistry()):
-        service = MonitoringService.from_trace(
-            trace, config, sketch_factory=factory,
-            key_function=KEY_FUNCTIONS[args.key], workers=args.workers,
-            apps=apps)
+        try:
+            config = ServiceConfig(
+                host=args.host, port=args.port, epoch_seconds=args.epoch,
+                ring_depth=args.ring, memo_size=args.memo,
+                chunk_size=args.chunk_size, chunk_sleep=args.pace,
+                max_epochs=args.epochs if args.epochs > 0 else None)
+            service = MonitoringService.from_trace(
+                trace, config, sketch_factory=factory,
+                key_function=KEY_FUNCTIONS[args.key], apps=apps)
+        except ConfigurationError as exc:
+            print(f"{exc}", file=sys.stderr)
+            return 2
         try:
             service.start()
         except OSError as exc:

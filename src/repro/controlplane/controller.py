@@ -104,26 +104,17 @@ class Controller(AppHost):
         The feature to monitor (the paper's evaluation uses source IP).
     epoch_seconds:
         Polling interval (the paper uses 5 seconds).
-    workers:
-        Shard each epoch's ingest across this many worker processes
-        (sketch linearity makes the shard merge exact; see
-        :mod:`repro.dataplane.parallel`).  1 = in-process ingest.
     """
 
     def __init__(self,
                  sketch_factory: Optional[Callable[[], UniversalSketch]] = None,
                  key_function: KeyFunction = src_ip_key,
                  epoch_seconds: float = 5.0,
-                 switch: Optional[MonitoredSwitch] = None,
-                 workers: int = 1) -> None:
+                 switch: Optional[MonitoredSwitch] = None) -> None:
         if epoch_seconds <= 0:
             raise ConfigurationError(
                 f"epoch_seconds must be > 0, got {epoch_seconds}")
-        if workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {workers}")
         super().__init__()
-        self.workers = workers
         if sketch_factory is None:
             sketch_factory = lambda: UniversalSketch(  # noqa: E731
                 levels=12, rows=5, width=2048, heap_size=64, seed=1)
@@ -163,7 +154,7 @@ class Controller(AppHost):
         with get_registry().span(
                 "univmon_epoch_ingest_seconds",
                 help="wall time feeding one epoch into the switch"):
-            self.switch.process_trace(trace, workers=self.workers)
+            self.switch.process_trace(trace)
 
     def seal_epoch(self, epoch_index: int,
                    trace: Optional[Trace] = None) -> tuple:
@@ -203,14 +194,3 @@ class Controller(AppHost):
                              end_time=t1, packets=packets)
         self.run_apps(sealed, epoch_index, report, trace=trace)
         return report
-
-    def close(self) -> None:
-        """Release the switch's persistent shard worker pool (no-op for
-        ``workers=1`` controllers that never started one)."""
-        self.switch.close()
-
-    def __enter__(self) -> "Controller":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

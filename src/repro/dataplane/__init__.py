@@ -14,10 +14,6 @@ the CAIDA backbone trace and the router the sketches run on:
 - :mod:`~repro.dataplane.switch` — the monitored switch: programs
   (sketch + key function) attached to a packet stream, with memory and
   op-cost accounting.
-- :mod:`~repro.dataplane.parallel` — sharded multi-core ingest: the
-  worker pool behind ``process_trace(workers=N)``.  Each worker folds a
-  contiguous slice of every shared-memory batch into an equal-seed
-  sketch, and the shards merge back into one (exact, by linearity).
 - :mod:`~repro.dataplane.scenarios` — workload scenario library:
   empirical flow-size CDF mixes (websearch / data-mining) and seeded
   adversarial scenarios (DDoS ramp, flash crowd, port scan, heavy-key
@@ -34,7 +30,6 @@ from repro.dataplane.keys import (
     src_prefix_key,
 )
 from repro.dataplane.netflow import SampledFlowTable
-from repro.dataplane.parallel import ShardWorkerPool, shared_memory_available
 from repro.dataplane.packet import FiveTuple, Packet, format_ipv4, parse_ipv4
 from repro.dataplane.scenarios import (
     DATAMINING_CDF,
@@ -46,12 +41,7 @@ from repro.dataplane.scenarios import (
     make_scenario,
     scenario_names,
 )
-from repro.dataplane.replay import (
-    BatchIngest,
-    IngestReport,
-    LoopingChunkSource,
-    TraceReplayer,
-)
+from repro.dataplane.replay import LoopingChunkSource, TraceReplayer
 from repro.dataplane.switch import MonitoredSwitch, SwitchProgram
 from repro.dataplane.trace import (
     ChangeEvent,
@@ -75,11 +65,7 @@ __all__ = [
     "src_prefix_key",
     "SampledFlowTable",
     "TraceReplayer",
-    "BatchIngest",
-    "IngestReport",
     "LoopingChunkSource",
-    "ShardWorkerPool",
-    "shared_memory_available",
     "Trace",
     "SyntheticTraceConfig",
     "DDoSEvent",

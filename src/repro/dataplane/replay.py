@@ -1,4 +1,4 @@
-"""Trace ingest drivers: timed replay and maximum-rate batched ingest.
+"""Trace ingest drivers: timed replay and an endless chunk source.
 
 The CLI's switch agent and any live-ish demo need a trace pushed at
 realistic pacing rather than all at once.  :class:`TraceReplayer` walks
@@ -9,23 +9,16 @@ Pacing is best-effort (coarse sleeps, no busy-wait): the guarantee is
 that a chunk is never delivered *early*, and delivery lag is reported
 so callers can detect when they cannot keep up.
 
-:class:`BatchIngest` is the opposite regime: no pacing at all.  It
-slices the key stream into fixed-size chunks, feeds each chunk to the
-sketch's vectorised bulk path (falling back to the scalar loop for
-sketches without one), and reports achieved packets/second — the number
-the throughput benchmarks track release over release.
+:class:`LoopingChunkSource` cycles a finite trace forever in fixed-size
+chunks, for the always-on service.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.errors import ConfigurationError
-from repro.obs.metrics import get_registry
 from repro.dataplane.trace import Trace
 
 
@@ -89,96 +82,6 @@ class TraceReplayer:
             delivered += len(chunk)
             self.chunks_delivered += 1
         return delivered
-
-
-@dataclass(frozen=True)
-class IngestReport:
-    """Outcome of one :class:`BatchIngest` run."""
-
-    packets: int
-    chunks: int
-    seconds: float
-
-    @property
-    def packets_per_second(self) -> float:
-        if self.seconds <= 0:
-            return float("inf") if self.packets else 0.0
-        return self.packets / self.seconds
-
-
-class BatchIngest:
-    """Feed a key stream to a sketch in fixed-size chunks, as fast as
-    the hardware allows.
-
-    Parameters
-    ----------
-    sketch:
-        Any sketch; chunks go through ``update_array`` when available,
-        otherwise through the scalar ``update`` loop.
-    chunk_size:
-        Packets per bulk call.  Bounds peak working-set memory (hash
-        matrices are ``rows x chunk_size``) and is the batching knob the
-        throughput benchmark sweeps.
-    key_function:
-        A :class:`~repro.dataplane.keys.KeyFunction`; required by
-        :meth:`ingest` (trace input), unused by :meth:`ingest_keys`.
-    """
-
-    def __init__(self, sketch, chunk_size: int = 8192,
-                 key_function=None,
-                 clock: Callable[[], float] = time.perf_counter) -> None:
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}")
-        self.sketch = sketch
-        self.chunk_size = chunk_size
-        self.key_function = key_function
-        self._clock = clock
-
-    def ingest_keys(self, keys: np.ndarray,
-                    weights: Optional[np.ndarray] = None) -> IngestReport:
-        """Push a ``uint64`` key array through the sketch in chunks."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        sketch = self.sketch
-        bulk = getattr(sketch, "update_array", None)
-        reg = get_registry()
-        chunks = 0
-        start = self._clock()
-        for lo in range(0, len(keys), self.chunk_size):
-            chunk = keys[lo:lo + self.chunk_size]
-            wchunk = None if weights is None \
-                else weights[lo:lo + self.chunk_size]
-            with reg.span("univmon_ingest_chunk_seconds",
-                          help="wall time per ingest chunk"):
-                if bulk is not None:
-                    bulk(chunk, wchunk)
-                elif wchunk is None:
-                    for k in chunk.tolist():
-                        sketch.update(int(k))
-                else:
-                    for k, w in zip(chunk.tolist(), wchunk.tolist()):
-                        sketch.update(int(k), int(w))
-            chunks += 1
-        report = IngestReport(packets=len(keys), chunks=chunks,
-                              seconds=self._clock() - start)
-        reg.counter("univmon_ingest_packets_total",
-                    help="packets pushed through BatchIngest").inc(
-                        report.packets)
-        reg.counter("univmon_ingest_chunks_total",
-                    help="chunks pushed through BatchIngest").inc(chunks)
-        reg.gauge("univmon_ingest_packets_per_second",
-                  help="achieved rate of the last ingest run").set(
-                      report.packets_per_second)
-        return report
-
-    def ingest(self, trace: Trace,
-               weights: Optional[np.ndarray] = None) -> IngestReport:
-        """Extract the trace's key column and ingest it."""
-        if self.key_function is None:
-            raise ConfigurationError(
-                "BatchIngest needs a key_function to ingest a trace; "
-                "use ingest_keys() for pre-extracted keys")
-        return self.ingest_keys(trace.key_array(self.key_function), weights)
 
 
 class LoopingChunkSource:

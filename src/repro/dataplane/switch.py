@@ -15,10 +15,9 @@ program's factory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import get_registry
 from repro.sketches.base import Sketch, UpdateCost
 from repro.dataplane.keys import KeyFunction
 from repro.dataplane.trace import Trace
@@ -68,7 +67,6 @@ class MonitoredSwitch:
         self.name = name
         self._programs: Dict[str, SwitchProgram] = {}
         self.packets_seen = 0
-        self._shard_pool = None  # lazy ShardWorkerPool, hot across epochs
 
     # ------------------------------------------------------------------ #
     # program management
@@ -118,23 +116,9 @@ class MonitoredSwitch:
             program.total_cost = program.total_cost \
                 + program.sketch.update_cost()
 
-    def process_trace(self, trace: Trace, workers: int = 1) -> None:
-        """Bulk path: vectorised when the sketch supports it.
-
-        With ``workers > 1``, each program whose sketch is a seeded
-        :class:`~repro.core.universal.UniversalSketch` is folded through
-        the switch's :class:`~repro.dataplane.parallel.ShardWorkerPool`
-        (:meth:`~repro.dataplane.parallel.ShardWorkerPool.run_epoch`):
-        every worker folds a contiguous slice of the trace into an
-        equal-seed sketch, and the program's sketch becomes one n-ary
-        merge of its old state and the shards — level counters, packets
-        and weights bit-identical to serial ingest, by linearity.  The
-        pool is geometry-agnostic, so one pool serves every program, and
-        it stays hot across epochs and traces until :meth:`close`.
-        Other programs take the serial path; so does every program on a
-        platform without POSIX shared memory, counted in
-        ``univmon_shard_fallbacks_total{reason="no shared memory"}``.
-        """
+    def process_trace(self, trace: Trace) -> None:
+        """Bulk path: vectorised when the sketch supports it, the scalar
+        ``update`` loop otherwise."""
         import numpy as np
         n = len(trace)
         if n == 0:
@@ -145,11 +129,7 @@ class MonitoredSwitch:
             weights = trace.size.astype(np.int64) if program.by_bytes \
                 else None
             sketch = program.sketch
-            pool = self._ingest_pool(workers) \
-                if workers > 1 and self._shardable(sketch) else None
-            if pool is not None:
-                program.sketch = pool.run_epoch(sketch, keys, weights)
-            elif hasattr(sketch, "update_array"):
+            if hasattr(sketch, "update_array"):
                 if weights is None:
                     sketch.update_array(keys)
                 else:
@@ -164,46 +144,6 @@ class MonitoredSwitch:
             program.packets_processed += n
             program.total_cost = program.total_cost \
                 + sketch.update_cost().scaled(n)
-
-    @staticmethod
-    def _shardable(sketch) -> bool:
-        """Only seeded universal sketches can shard: the merge that
-        reassembles the shards needs equal-seed instances."""
-        from repro.core.universal import UniversalSketch
-        return isinstance(sketch, UniversalSketch) and sketch.seed is not None
-
-    def _ingest_pool(self, workers: int):
-        """The switch's persistent worker pool, rebuilt only when the
-        requested worker count changes; ``None`` (a counted fallback to
-        serial ingest) where POSIX shared memory is missing."""
-        from repro.dataplane.parallel import (ShardWorkerPool,
-                                              shared_memory_available)
-        if not shared_memory_available():
-            get_registry().counter(
-                "univmon_shard_fallbacks_total",
-                help="sharded-ingest runs degraded to serial ingest",
-                reason="no shared memory").inc()
-            return None
-        pool = self._shard_pool
-        if pool is None or pool.workers != workers:
-            if pool is not None:
-                pool.close()
-            pool = self._shard_pool = ShardWorkerPool(workers=workers)
-        return pool
-
-    def close(self) -> None:
-        """Release the shard worker pool (workers + shared-memory
-        slabs).  The switch stays usable; the next sharded
-        ``process_trace`` starts a fresh pool."""
-        if self._shard_pool is not None:
-            self._shard_pool.close()
-            self._shard_pool = None
-
-    def __enter__(self) -> "MonitoredSwitch":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
     # control-plane interface

@@ -33,14 +33,6 @@ class TopologyError(ReproError):
     """A network topology operation failed (unknown node, no path, ...)."""
 
 
-class ShardFailureError(ReproError):
-    """A sharded-ingest worker died, reported an error, or timed out.
-
-    Sharded ingest is exact-or-nothing: a missing shard would silently
-    undercount every estimate, so the driver surfaces any dead worker as
-    this error instead of merging partial results (or hanging on them)."""
-
-
 class CodecError(TraceFormatError):
     """A sketch frame failed validation (bad magic, unknown type,
     checksum mismatch, oversized or malformed body).  The codec rejects

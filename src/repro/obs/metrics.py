@@ -306,11 +306,10 @@ class MetricsRegistry:
         """Drop every metric of family ``name`` (all label sets).
 
         The family's type/help registration survives, so the series can
-        be re-created with the same kind.  Used by instrumentation whose
-        label space shrinks between runs (e.g. per-shard series after a
-        narrower worker sweep) — without this, stale series would keep
-        exporting their last values forever.  Returns the number of
-        metrics removed.
+        be re-created with the same kind.  For instrumentation whose
+        label space shrinks between runs: without this, stale series
+        would keep exporting their last values forever.  Returns the
+        number of metrics removed.
         """
         with self._lock:
             doomed = [key for key in self._metrics if key[0] == name]

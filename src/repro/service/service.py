@@ -72,9 +72,8 @@ class MonitoringService:
 
     Lifecycle: ``start()`` brings up the HTTP server (in its own
     asyncio thread) and then the ingest thread; ``stop()`` tears down
-    in reverse — stop ingest, drain its final partial epoch, release
-    the controller's worker pool, then close the server.  Use as a
-    context manager in tests.
+    in reverse — stop ingest, drain its final partial epoch, then close
+    the server.  Use as a context manager in tests.
     """
 
     def __init__(self, controller: Controller,
@@ -112,15 +111,13 @@ class MonitoringService:
                    config: Optional[ServiceConfig] = None,
                    sketch_factory=None,
                    key_function: KeyFunction = src_ip_key,
-                   workers: int = 1,
                    apps=()) -> "MonitoringService":
         """Service over a finite trace cycled forever
         (:class:`~repro.dataplane.replay.LoopingChunkSource`)."""
         config = config or ServiceConfig()
         controller = Controller(sketch_factory=sketch_factory,
                                 key_function=key_function,
-                                epoch_seconds=config.epoch_seconds,
-                                workers=workers)
+                                epoch_seconds=config.epoch_seconds)
         for app in apps:
             controller.register(app)
         chunks = LoopingChunkSource(trace, chunk_size=config.chunk_size)
@@ -209,14 +206,13 @@ class MonitoringService:
 
     def stop(self, timeout: float = 30.0) -> None:
         """Graceful shutdown: ingest first (sealing its partial epoch),
-        then the worker pool, then the HTTP loop."""
+        then the HTTP loop."""
         if self._stopped:
             return
         self._stopping = True
         if self.ingest.is_alive() or self.ingest.ident is not None:
             self.ingest.stop()
             self.ingest.join(timeout)
-        self.controller.close()
         loop = self._loop
         if loop is not None and not loop.is_closed():
             try:

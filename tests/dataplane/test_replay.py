@@ -93,85 +93,3 @@ class TestReplay:
                                  clock=fake.clock, sleep=fake.sleep)
         replayer.run(lambda c: None)
         assert fake.sleeps == []
-
-
-class TestBatchIngest:
-    def _trace(self, packets=200):
-        import numpy as np
-        from repro.dataplane.trace import SyntheticTraceConfig, generate_trace
-        return generate_trace(SyntheticTraceConfig(
-            packets=packets, flows=20, duration=2.0, seed=5))
-
-    def test_chunk_size_validated(self):
-        from repro.dataplane.replay import BatchIngest
-        from repro.sketches.countmin import CountMinSketch
-        with pytest.raises(ConfigurationError):
-            BatchIngest(CountMinSketch(rows=2, width=32, seed=1),
-                        chunk_size=0)
-
-    def test_trace_ingest_requires_key_function(self):
-        from repro.dataplane.replay import BatchIngest
-        from repro.sketches.countmin import CountMinSketch
-        ingest = BatchIngest(CountMinSketch(rows=2, width=32, seed=1))
-        with pytest.raises(ConfigurationError):
-            ingest.ingest(self._trace())
-
-    def test_chunked_ingest_matches_single_bulk_update(self):
-        import numpy as np
-        from repro.dataplane.keys import src_ip_key
-        from repro.dataplane.replay import BatchIngest
-        from repro.core.universal import UniversalSketch
-        trace = self._trace()
-        keys = trace.key_array(src_ip_key)
-        chunked = UniversalSketch(levels=3, rows=3, width=64, heap_size=16,
-                                  seed=2)
-        whole = UniversalSketch(levels=3, rows=3, width=64, heap_size=16,
-                                seed=2)
-        report = BatchIngest(chunked, chunk_size=64,
-                             key_function=src_ip_key).ingest(trace)
-        whole.update_array(keys)
-        assert report.packets == len(trace)
-        assert report.chunks == -(-len(trace) // 64)
-        for lc, lw in zip(chunked.levels, whole.levels):
-            assert np.array_equal(lc.sketch.table, lw.sketch.table)
-
-    def test_report_rate_uses_injected_clock(self):
-        import numpy as np
-        from repro.dataplane.replay import BatchIngest
-        from repro.sketches.countmin import CountMinSketch
-        fake = FakeClock()
-
-        def clock():
-            fake.now += 0.5  # every clock() call advances half a second
-            return fake.now
-
-        ingest = BatchIngest(CountMinSketch(rows=2, width=32, seed=1),
-                             chunk_size=100, clock=clock)
-        report = ingest.ingest_keys(np.arange(300, dtype=np.uint64))
-        assert report.packets == 300
-        assert report.chunks == 3
-        assert report.seconds == pytest.approx(0.5)
-        assert report.packets_per_second == pytest.approx(600.0)
-
-    def test_scalar_fallback_for_sketches_without_bulk_path(self):
-        import numpy as np
-        from repro.dataplane.replay import BatchIngest
-
-        class ScalarOnly:
-            def __init__(self):
-                self.seen = []
-
-            def update(self, key, weight=1):
-                self.seen.append((key, weight))
-
-        sk = ScalarOnly()
-        report = BatchIngest(sk, chunk_size=4).ingest_keys(
-            np.arange(10, dtype=np.uint64),
-            np.full(10, 3, dtype=np.int64))
-        assert report.chunks == 3
-        assert sk.seen == [(k, 3) for k in range(10)]
-
-    def test_empty_report_rate(self):
-        from repro.dataplane.replay import IngestReport
-        assert IngestReport(0, 0, 0.0).packets_per_second == 0.0
-        assert IngestReport(5, 1, 0.0).packets_per_second == float("inf")

@@ -165,53 +165,3 @@ class TestByteWeightedPrograms:
         reported = {k for k, _ in sketch.heavy_hitters(0.01)}
         missed = len(true_hh - reported)
         assert missed <= max(1, len(true_hh) // 4)
-
-
-class TestShardedProcessing:
-    """process_trace(workers=N) must be exact and degrade sensibly."""
-
-    @staticmethod
-    def _uni_factory():
-        return UniversalSketch(levels=4, rows=3, width=256,
-                               heap_size=64, seed=9)
-
-    def _run(self, trace, workers, by_bytes=False):
-        sw = MonitoredSwitch()
-        program = sw.attach("univmon", self._uni_factory, src_ip_key,
-                            by_bytes=by_bytes)
-        sw.process_trace(trace, workers=workers)
-        return program
-
-    @pytest.mark.parametrize("by_bytes", [False, True])
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_sharded_counters_match_serial(self, small_trace, workers,
-                                           by_bytes):
-        import numpy as np
-        serial = self._run(small_trace, 1, by_bytes)
-        sharded = self._run(small_trace, workers, by_bytes)
-        for ls, lp in zip(serial.sketch.levels, sharded.sketch.levels):
-            assert np.array_equal(ls.sketch.table, lp.sketch.table)
-            assert ls.packets == lp.packets
-            assert ls.weight == lp.weight
-        assert sharded.packets_processed == serial.packets_processed
-
-    def test_sharded_accounting_matches_serial(self, small_trace):
-        serial = self._run(small_trace, 1)
-        sharded = self._run(small_trace, 2)
-        assert sharded.total_cost == serial.total_cost
-
-    def test_unseeded_sketch_falls_back_in_process(self, tiny_trace):
-        sw = MonitoredSwitch()
-        program = sw.attach(
-            "unseeded",
-            lambda: UniversalSketch(levels=4, rows=3, width=128,
-                                    heap_size=32),
-            src_ip_key)
-        sw.process_trace(tiny_trace, workers=4)  # must not raise
-        assert program.packets_processed == len(tiny_trace)
-
-    def test_non_universal_sketch_falls_back_in_process(self, tiny_trace):
-        sw = MonitoredSwitch()
-        program = sw.attach("cm", cm_factory, src_ip_key)
-        sw.process_trace(tiny_trace, workers=4)
-        assert program.sketch.l1_estimate() == len(tiny_trace)

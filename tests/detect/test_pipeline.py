@@ -245,7 +245,6 @@ class TestControllerIntegration:
         assert confirmed and confirmed[0]["recovered_keys"]
         assert {r["stream"] for r in confirmed[0]["recovered_keys"]} \
             <= {"raw", "difference"}
-        controller.close()
 
     def test_controller_reset_propagates(self):
         pipe = DetectionPipeline([spike_rule()])
@@ -257,7 +256,6 @@ class TestControllerIntegration:
         feed(pipe, [quiet_keys(rng), surge_keys(rng)])
         controller.reset()
         assert pipe.states()["surge"] is RuleState.IDLE
-        controller.close()
 
 
 class TestObservability:

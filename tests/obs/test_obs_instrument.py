@@ -7,7 +7,6 @@ from repro.controlplane.apps.cardinality import CardinalityApp
 from repro.controlplane.apps.heavy_hitters import HeavyHitterApp
 from repro.controlplane.controller import Controller
 from repro.core.universal import UniversalSketch
-from repro.dataplane.replay import BatchIngest
 from repro.dataplane.trace import SyntheticTraceConfig, generate_trace
 from repro.network.health import HealthTracker
 from repro.obs import (
@@ -155,22 +154,6 @@ class TestSketchSpans:
         assert get_registry() is NULL_REGISTRY
         assert to_dict(NULL_REGISTRY) == {"counters": {}, "gauges": {},
                                           "histograms": {}}
-
-
-class TestBatchIngestMetrics:
-    def test_chunk_accounting(self):
-        reg = MetricsRegistry()
-        keys = _keys(n=2500)
-        with use_registry(reg):
-            report = BatchIngest(_small_sketch(),
-                                 chunk_size=1000).ingest_keys(keys)
-        assert report.packets == 2500
-        assert report.chunks == 3
-        assert reg.get("univmon_ingest_packets_total").value == 2500
-        assert reg.get("univmon_ingest_chunks_total").value == 3
-        assert reg.get("univmon_ingest_chunk_seconds").count == 3
-        pps = reg.get("univmon_ingest_packets_per_second")
-        assert pps.touched and pps.value > 0
 
 
 class TestControllerMetrics:

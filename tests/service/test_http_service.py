@@ -8,7 +8,6 @@ import time
 
 import pytest
 
-from repro.dataplane.parallel import shared_memory_available
 from repro.service import ServiceConfig
 
 from tests.service.conftest import http_get, http_post
@@ -188,19 +187,3 @@ class TestGracefulShutdown:
         with pytest.raises(OSError):
             socket.create_connection(("127.0.0.1", port), timeout=1.0)
         service.stop()  # idempotent
-
-    @pytest.mark.skipif(not shared_memory_available(),
-                        reason="no shared memory for worker pool")
-    def test_stop_closes_worker_pool(self, small_trace, registry):
-        from repro.service import MonitoringService
-        from tests.service.conftest import small_sketch_factory
-
-        service = MonitoringService.from_trace(
-            small_trace,
-            ServiceConfig(port=0, epoch_seconds=0.2, max_epochs=2),
-            sketch_factory=small_sketch_factory, workers=2)
-        with service:
-            assert service.wait(timeout=60)
-            assert service.controller.switch._shard_pool is not None
-        assert service.controller.switch._shard_pool is None
-        assert not service.ingest.is_alive()

@@ -69,35 +69,6 @@ class TestRun:
               "--flows", "10"])
         assert main(["run", "--trace", str(out), "--tasks", "magic"]) == 2
 
-    def test_workers_flag_parses(self):
-        args = build_parser().parse_args(["run", "--trace", "t.csv",
-                                          "--workers", "4"])
-        assert args.workers == 4
-        args = build_parser().parse_args(["run", "--trace", "t.csv"])
-        assert args.workers == 1
-
-    def test_sharded_run_covers_same_epochs(self, tmp_path, capsys):
-        out = tmp_path / "trace.csv"
-        main(["generate", "--out", str(out), "--packets", "2000",
-              "--flows", "200", "--duration", "4", "--seed", "5"])
-        capsys.readouterr()
-        base = ["run", "--trace", str(out), "--epoch", "2",
-                "--tasks", "hh,cardinality", "--memory-kb", "256"]
-        assert main(base) == 0
-        serial = capsys.readouterr().out
-        assert main(base + ["--workers", "2"]) == 0
-        sharded = capsys.readouterr().out
-        # Level counters are bit-identical (see test_switch.py), but
-        # heap-derived estimates may differ: serial chunked ingest keeps
-        # stale heap estimates, the sharded merge recomputes from final
-        # tables.  The epoch structure must match exactly.
-        epoch_lines = [l for l in serial.splitlines()
-                       if l.startswith("epoch ")]
-        assert epoch_lines == [l for l in sharded.splitlines()
-                               if l.startswith("epoch ")]
-        assert len(epoch_lines) == 2
-        assert "cardinality:" in sharded
-
 
 class TestScenarioRun:
     def test_run_scenario_end_to_end(self, capsys):
@@ -424,6 +395,17 @@ class TestServeCommand:
         trace = self._trace(tmp_path)
         assert main(["serve", "--trace", str(trace),
                      "--epoch", "0"]) == 2
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--chunk-size", "chunk_size must be >= 1, got 0"),
+        ("--memo", "memo maxsize must be >= 1, got 0"),
+    ])
+    def test_bad_service_part_rejected(self, tmp_path, capsys, flag,
+                                       message):
+        trace = self._trace(tmp_path)
+        capsys.readouterr()
+        assert main(["serve", "--trace", str(trace), flag, "0"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_bounded_run_seals_and_exits(self, tmp_path, capsys):
         trace = self._trace(tmp_path)
