@@ -257,12 +257,12 @@ def _baseline_decode(frame):
     sketch = UniversalSketch(levels=levels, rows=rows, width=width,
                              heap_size=heap_size, seed=seed)
     sketch.packets = packets
-    for level in sketch.levels:
+    for j, level in enumerate(sketch.levels):
         level.packets, level.weight = struct.unpack(
             "<qq", serialization._read_exact(buf, 16))
         if level.packets < 0:
             raise TraceFormatError("corrupt sketch payload")
-        level.sketch.table = _baseline_read_table(buf, rows, width)
+        sketch.counters[j] = _baseline_read_table(buf, rows, width)
         level.topk = serialization._read_topk(buf, heap_size)
     if buf.read(1):
         raise TraceFormatError("corrupt sketch payload: trailing bytes")

@@ -13,10 +13,12 @@ and >= 2x for ``UniversalSketch.update_array``.  ``test_speedup_hash_kernel``
 pins the stacked-table ``TabulationFamily.hash_matrix`` (the hashing
 behind every Count Sketch, Count-Min and k-ary sketch whose width is not
 a power of two) against a frozen copy of the per-row gather loop it
-replaced, and ``test_speedup_topk_offer`` pins the array-backed
+replaced, ``test_speedup_topk_offer`` pins the array-backed
 ``TopK.offer_many`` against a frozen copy of the dict-and-``heapq``
-heap it replaced.  Results merge into
-``benchmarks/results/BENCH_throughput.json``.
+heap it replaced, and ``test_speedup_counter_tensor`` pins the
+counter-tensor ``UniversalSketch.update_array`` against a frozen copy of
+the per-level path it replaced, batch shape by batch shape.  Results
+merge into ``benchmarks/results/BENCH_throughput.json``.
 """
 
 import heapq
@@ -27,10 +29,17 @@ import time
 import numpy as np
 import pytest
 
-from conftest import write_results_json
+from conftest import QUICK, write_results_json
+from repro.core.level import SketchLevel, aggregate
 from repro.dataplane.keys import src_ip_key
 from repro.core.universal import UniversalSketch
-from repro.hashing.tabulation import byte_view, tabulation_family
+from repro.hashing.sampling import LevelSampler
+from repro.hashing.tabulation import (
+    byte_view,
+    derived_seeds,
+    tabulation_family,
+)
+from repro.network.faults import zipf_keys
 from repro.opensketch.tasks import (
     ChangeDetectionTask,
     DDoSDetectionTask,
@@ -365,6 +374,118 @@ def test_speedup_universal_bulk(keys):
     assert speedup >= 2.0, (
         f"UniversalSketch bulk path is only {speedup:.2f}x the np.add.at "
         f"baseline (need >= 2x)")
+
+
+class _PerLevelSketch:
+    """The layout the counter tensor replaced: one
+    :class:`SketchLevel` per level, each owning its own table and
+    hashes, drawn from the same seeds."""
+
+    def __init__(self, levels, rows, width, heap_size, seed):
+        sampler_seed, *level_seeds = derived_seeds(seed, levels + 2)
+        self.sampler = LevelSampler(levels, seed=sampler_seed)
+        self.levels = [SketchLevel(rows=rows, width=width,
+                                   heap_size=heap_size, seed=level_seed)
+                       for level_seed in level_seeds]
+        self.packets = 0
+
+
+def _per_level_update(sketch, keys):
+    """The per-level bulk update the fused kernel replaced (the old body
+    of ``UniversalSketch._update_array``): aggregate once, then one
+    ``SketchLevel.update_distinct`` per level."""
+    n = len(keys)
+    keys, packets, weights = aggregate(keys)
+    depths = sketch.sampler.deepest_level_array(keys)
+    for j, level in enumerate(sketch.levels):
+        if j:
+            deeper = depths >= j
+            if not deeper.any():
+                break
+            keys, packets, weights, depths = (
+                keys[deeper], packets[deeper], weights[deeper],
+                depths[deeper])
+        level.update_distinct(keys, packets, weights)
+    sketch.packets += n
+
+
+#: switch_zipf's sketch (512 KiB, levels 12, rows 5, heap 64: width 1965)
+#: and fleet_tree's leaf (levels 5, rows 2, width 256, heap 16).
+SWITCH = dict(levels=12, rows=5, heap_size=64, seed=1,
+              width=UniversalSketch.width_for_budget(
+                  512 * 1024, levels=12, rows=5, heap_size=64))
+LEAF = dict(levels=5, rows=2, width=256, heap_size=16, seed=9)
+
+
+def _tensor_shapes():
+    """name -> (geometry, batch, floor): the batch shapes the kernel
+    choice depends on, from few distinct keys (fused kernel) to all
+    distinct (per-level kernel).  A floor of None is recorded only."""
+    gen = np.random.default_rng(23)
+    return {
+        "zipf_1400_keys": (SWITCH, zipf_keys(gen, 65_536, flows=1_400,
+                                             skew=1.1), 1.2),
+        "zipf_30k_packets": (SWITCH, zipf_keys(gen, 30_000, flows=20_000,
+                                               skew=1.1), None),
+        "serve_chunk": (SWITCH, zipf_keys(gen, 4_096, flows=6_000,
+                                          skew=0.6), None),
+        "distinct_19206": (SWITCH, gen.integers(0, 1 << 64, 19_206,
+                                                dtype=np.uint64), 0.85),
+        "distinct_65536": (SWITCH, gen.integers(0, 1 << 64, 65_536,
+                                                dtype=np.uint64), 0.85),
+        "fleet_leaf": (LEAF, zipf_keys(gen, 400, flows=450, skew=0.6),
+                       None),
+    }
+
+
+def test_speedup_counter_tensor():
+    """``update_array`` on a fresh sketch against the per-level path,
+    alternating in one process: >= 1.2x on switch_zipf's batch (65,536
+    packets over 1,400 keys), >= 0.85x on the two all-distinct batches
+    the per-level kernel takes.  Both sides fold every batch into equal
+    counters and heaps."""
+    repeats = 7 if QUICK else 21
+    by_shape = {}
+    for name, (geometry, batch, floor) in _tensor_shapes().items():
+        new, old = UniversalSketch(**geometry), _PerLevelSketch(**geometry)
+        new.update_array(batch)
+        _per_level_update(old, batch)
+        for mine, theirs in zip(new.levels, old.levels):
+            assert np.array_equal(mine.sketch.table, theirs.sketch.table)
+            assert mine.topk.arrays()[0].tolist() == \
+                theirs.topk.arrays()[0].tolist()
+        times = {"new": [], "old": []}
+        for _ in range(repeats):
+            for side in ("new", "old"):
+                if side == "new":
+                    sketch, update = UniversalSketch(**geometry), \
+                        UniversalSketch.update_array
+                else:
+                    sketch, update = _PerLevelSketch(**geometry), \
+                        _per_level_update
+                t0 = time.perf_counter()
+                update(sketch, batch)
+                times[side].append(time.perf_counter() - t0)
+        t_new, t_old = (float(np.median(times[side])) for side in
+                        ("new", "old"))
+        by_shape[name] = {
+            "packets": int(len(batch)),
+            "distinct": int(len(np.unique(batch))),
+            "new_ms": round(t_new * 1e3, 3),
+            "baseline_ms": round(t_old * 1e3, 3),
+            "speedup": round(t_old / t_new, 2),
+            "floor": floor,
+        }
+    _RESULTS["counter_tensor"] = {
+        "switch_width": SWITCH["width"], "repeats": repeats,
+        "host": _host_stamp(), "by_shape": by_shape}
+    print("\ncounter_tensor:", by_shape)
+    for name, point in by_shape.items():
+        if point["floor"] is not None:
+            assert point["speedup"] >= point["floor"], (
+                f"counter-tensor update_array is {point['speedup']:.2f}x "
+                f"the per-level path on {name} (need >= "
+                f"{point['floor']}x)")
 
 
 def test_bulk_countsketch(benchmark, keys):

@@ -363,12 +363,20 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _sketch_factory(memory_kb: int):
     """The one sketch every subcommand builds: ``memory_kb`` KiB at 12
     levels, 5 rows, heap 64 and seed 1 (one seed, so any two sketches
-    the CLI builds merge and subtract)."""
+    the CLI builds merge and subtract).  The geometry is checked here,
+    once: when the budget cannot hold it, prints why and returns None
+    (the caller exits 2)."""
     from repro.core.universal import UniversalSketch
+    from repro.errors import ConfigurationError
 
-    budget = memory_kb * 1024
-    return lambda: UniversalSketch.for_memory_budget(
-        budget, levels=12, rows=5, heap_size=64, seed=1)
+    try:
+        width = UniversalSketch.width_for_budget(
+            memory_kb * 1024, levels=12, rows=5, heap_size=64)
+    except ConfigurationError as exc:
+        print(f"bad --memory-kb: {exc}", file=sys.stderr)
+        return None
+    return lambda: UniversalSketch(levels=12, rows=5, width=width,
+                                   heap_size=64, seed=1)
 
 
 def _load_trace(path: str):
@@ -442,6 +450,8 @@ def _run_monitor(args: argparse.Namespace) -> int:
         trace = _load_trace(args.trace)
     key_function = KEY_FUNCTIONS[args.key]
     factory = _sketch_factory(args.memory_kb)
+    if factory is None:
+        return 2
     controller = Controller(sketch_factory=factory,
                             key_function=key_function,
                             epoch_seconds=args.epoch)
@@ -565,8 +575,11 @@ def _cmd_agent(args: argparse.Namespace) -> int:
     from repro.dataplane.switch import MonitoredSwitch
 
     trace = _load_trace(args.trace)
+    factory = _sketch_factory(args.memory_kb)
+    if factory is None:
+        return 2
     switch = MonitoredSwitch("agent")
-    switch.attach("univmon", _sketch_factory(args.memory_kb), src_ip_key)
+    switch.attach("univmon", factory, src_ip_key)
     agent = SwitchAgent(switch, host=args.host, port=args.port).start()
     host, port = agent.address
     print(f"switch agent on {host}:{port}; replaying "
@@ -638,6 +651,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             packets=args.packets, flows=args.flows, duration=args.duration,
             seed=args.seed))
     factory = _sketch_factory(args.memory_kb)
+    if factory is None:
+        return 2
     registry = MetricsRegistry()
     with use_registry(registry):
         controller = Controller(sketch_factory=factory,
@@ -683,9 +698,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
         from repro.dataplane.switch import MonitoredSwitch
 
         trace = _load_trace(args.trace)
+        factory = _sketch_factory(args.memory_kb)
+        if factory is None:
+            return 2
         switch = MonitoredSwitch("query")
-        switch.attach("univmon", _sketch_factory(args.memory_kb),
-                      KEY_FUNCTIONS[args.key])
+        switch.attach("univmon", factory, KEY_FUNCTIONS[args.key])
         switch.process_trace(trace)
         sketch = switch.poll("univmon")
         show_ip = args.key in ("src_ip", "dst_ip")
@@ -760,6 +777,8 @@ def _detect_monitor(args: argparse.Namespace) -> int:
         print(f"bad rules: {exc}", file=sys.stderr)
         return 2
     factory = _sketch_factory(args.memory_kb)
+    if factory is None:
+        return 2
     controller = Controller(sketch_factory=factory,
                             key_function=KEY_FUNCTIONS[args.key],
                             epoch_seconds=args.epoch)
@@ -838,6 +857,8 @@ def _coordinate_loop(args: argparse.Namespace) -> int:
         agents[name] = (host, int(port))
 
     factory = _sketch_factory(args.memory_kb)
+    if factory is None:
+        return 2
     retry = _retry_policy(args)
     health = HealthTracker(agents, suspect_after=1,
                            fail_after=args.fail_after,
@@ -931,6 +952,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
 
     factory = _sketch_factory(args.memory_kb)
+    if factory is None:
+        return 2
 
     # The service serves /metrics, so it always runs instrumented.
     with use_registry(MetricsRegistry()):

@@ -10,6 +10,14 @@ estimate, so tracking costs no extra hashing.  The bulk path keeps that
 property per batch: a batch is first folded to its distinct keys
 (:func:`aggregate`), and each distinct key is hashed once for both its
 counter update and its heap refresh.
+
+Inside a :class:`~repro.core.universal.UniversalSketch` a level is a thin
+view: its ``sketch.table`` is the slice ``counters[j]`` of the sketch's
+counter tensor (:meth:`SketchLevel.over`), so the scalar path and every
+reader of ``level.sketch`` see the tensor.  The universal sketch runs
+its bulk paths on the tensor itself and calls
+:meth:`SketchLevel.update_distinct` level by level only for batches with
+many distinct keys.
 """
 
 from __future__ import annotations
@@ -57,6 +65,18 @@ class SketchLevel:
         self.topk = TopK(heap_size)
         self.packets = 0   # substream length m_j
         self.weight = 0    # substream total weight
+
+    @classmethod
+    def over(cls, sketch: CountSketch, topk: TopK) -> "SketchLevel":
+        """A level around ``sketch`` (typically a
+        :meth:`CountSketch.over` view) and ``topk``, with no packets
+        or weight yet."""
+        out = cls.__new__(cls)
+        out.sketch = sketch
+        out.topk = topk
+        out.packets = 0
+        out.weight = 0
+        return out
 
     def update(self, key: int, weight: int = 1) -> None:
         """Fold one element of ``D_j`` in and refresh its heap estimate."""

@@ -34,7 +34,6 @@ from typing import BinaryIO, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, TraceFormatError
-from repro.core.level import SketchLevel
 from repro.core.universal import UniversalSketch
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.countsketch import CountSketch
@@ -99,8 +98,10 @@ _COUNTER_WIDTHS = {
 _TABLE_PREFIX = struct.Struct("<BI")
 
 
-def _write_table(out: BinaryIO, table: np.ndarray) -> None:
-    lo, hi = int(table.min()), int(table.max())
+def _write_table(out: BinaryIO, table: np.ndarray, lo: int,
+                 hi: int) -> None:
+    """One counter block for ``table``, whose smallest and largest
+    counters are ``lo`` and ``hi``."""
     for dtype, dt_min, dt_max in _COUNTER_WIDTHS.values():
         if dt_min <= lo and hi <= dt_max:
             break
@@ -109,7 +110,11 @@ def _write_table(out: BinaryIO, table: np.ndarray) -> None:
     out.write(data)
 
 
-def _read_table(buf: BinaryIO, rows: int, width: int) -> np.ndarray:
+def _read_table(buf: BinaryIO, table: np.ndarray) -> None:
+    """Decode one counter block into ``table``, an ``int64`` array of
+    the block's ``(rows, width)`` shape that the sketch owns (never a
+    view of the payload)."""
+    rows, width = table.shape
     itemsize, nbytes = _TABLE_PREFIX.unpack(
         _read_exact(buf, _TABLE_PREFIX.size))
     if itemsize not in _COUNTER_WIDTHS:
@@ -124,9 +129,7 @@ def _read_table(buf: BinaryIO, rows: int, width: int) -> np.ndarray:
             f"expected {expected} for {rows}x{width} {itemsize}-byte "
             f"counters")
     raw = _read_exact(buf, nbytes)
-    # astype copies: the sketch owns an int64 table, not a payload view.
-    return np.frombuffer(raw, dtype=dtype).reshape(rows, width).astype(
-        np.int64)
+    table[...] = np.frombuffer(raw, dtype=dtype).reshape(rows, width)
 
 
 def _check_room(buf: BinaryIO, counters: int, minimum: int) -> None:
@@ -199,7 +202,8 @@ def _dump_count_sketch(out: BinaryIO, sketch: CountSketch,
     out.write(_MAGIC)
     out.write(struct.pack("<BIIq", type_tag, sketch.rows, sketch.width,
                           _require_seed(sketch)))
-    _write_table(out, sketch.table)
+    table = sketch.table
+    _write_table(out, table, int(table.min()), int(table.max()))
 
 
 def _load_tableau(buf: BinaryIO, cls, type_name: str):
@@ -208,7 +212,7 @@ def _load_tableau(buf: BinaryIO, cls, type_name: str):
     _check_range("width", width, 1, MAX_WIDTH)
     _check_room(buf, rows * width, _TABLE_PREFIX.size + rows * width)
     sketch = cls(rows=rows, width=width, seed=seed)
-    sketch.table = _read_table(buf, rows, width)
+    _read_table(buf, sketch.table)
     return sketch
 
 
@@ -218,9 +222,13 @@ def _dump_universal(out: BinaryIO, sketch: UniversalSketch) -> None:
         "<BIIIIqq", _TYPE_UNIVERSAL, sketch.num_levels, sketch.rows,
         sketch.width, sketch.heap_size, _require_seed(sketch),
         sketch.packets))
-    for level in sketch.levels:
+    # Every level's block width from one reduction over the tensor.
+    counters = sketch.counters
+    lows = counters.min(axis=(1, 2)).tolist()
+    highs = counters.max(axis=(1, 2)).tolist()
+    for level, table, lo, hi in zip(sketch.levels, counters, lows, highs):
         out.write(struct.pack("<qq", level.packets, level.weight))
-        _write_table(out, level.sketch.table)
+        _write_table(out, table, lo, hi)
         _write_topk(out, level.topk)
 
 
@@ -235,20 +243,25 @@ def _load_universal(buf: BinaryIO) -> UniversalSketch:
     # heap's capacity and count (8).
     _check_room(buf, (levels + 1) * rows * width,
                 (levels + 1) * (16 + _TABLE_PREFIX.size + rows * width + 8))
-    sketch = UniversalSketch(levels=levels, rows=rows, width=width,
-                             heap_size=heap_size, seed=seed)
-    sketch.packets = packets
-    for j, level in enumerate(sketch.levels):
+    # The level blocks decode straight into the sketch's one tensor.
+    counters = np.empty((levels + 1, rows, width), dtype=np.int64)
+    totals, heaps = [], []
+    for j, table in enumerate(counters):
         # Weights may be negative (weighted ingest allows it); packet
         # counts may not.
-        level.packets, level.weight = struct.unpack(
-            "<qq", _read_exact(buf, 16))
-        if level.packets < 0:
+        level_packets, weight = struct.unpack("<qq", _read_exact(buf, 16))
+        if level_packets < 0:
             raise TraceFormatError(
                 f"corrupt sketch payload: level {j} has negative packet "
-                f"count {level.packets}")
-        level.sketch.table = _read_table(buf, rows, width)
-        level.topk = _read_topk(buf, heap_size)
+                f"count {level_packets}")
+        totals.append((level_packets, weight))
+        _read_table(buf, table)
+        heaps.append(_read_topk(buf, heap_size))
+    sketch = UniversalSketch.around(counters, heap_size, seed, heaps)
+    sketch.packets = packets
+    for level, (level_packets, weight) in zip(sketch.levels, totals):
+        level.packets = level_packets
+        level.weight = weight
     return sketch
 
 

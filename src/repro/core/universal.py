@@ -14,6 +14,20 @@ primitive.
 The sketch is linear: two instances built with the same ``seed`` and
 geometry can be merged (multi-switch aggregation, §5 "Distributed
 monitoring") or subtracted (change detection, §3.4).
+
+Layout: every counter of every level lives in one ``int64`` tensor,
+``counters``, of shape ``(levels + 1, rows, width)``, and level ``j``'s
+Count Sketch table is the view ``counters[j]`` (see
+:mod:`repro.core.level`).  The levels' hash functions are one
+:class:`~repro.hashing.tabulation.TabulationStack`, so a ``(key,
+level)`` pair hashes with one gather per key byte whatever its level.
+The bulk paths work on the tensor: a batch with few distinct keys is
+expanded into its ``(key, level)`` pairs and folded in with one hash
+gather, one scatter-add and one post-update gather for every level at
+once; ``copy`` is one tensor copy, ``merge``/``subtract`` one add or
+subtract plus one fused re-query of every level's heap keys, and the
+codec writes and reads the tensor.  The scalar path and every reader
+of ``levels[j]`` go through the views.
 """
 
 from __future__ import annotations
@@ -26,11 +40,33 @@ import numpy as np
 
 from repro.errors import ConfigurationError, IncompatibleSketchError
 from repro.hashing.sampling import LevelSampler
-from repro.hashing.tabulation import derived_seeds
+from repro.hashing.tabulation import (
+    TabulationStack,
+    derived_seeds,
+    tabulation_stack,
+)
 from repro.obs.metrics import get_registry
 from repro.core.level import SketchLevel, aggregate
 from repro.sketches.base import Sketch, UpdateCost, check_batch
+from repro.sketches.countsketch import CountSketch
 from repro.sketches.topk import TopK
+
+
+def _medians(counters: np.ndarray, flat: np.ndarray,
+             signs: np.ndarray) -> np.ndarray:
+    """Each pair's point estimate: the median over rows of its signed
+    counters, ``flat`` and ``signs`` as :meth:`UniversalSketch._pair_slots`
+    gives them.  Computed as ``CountSketch._estimates`` computes it (sort
+    the rows, read the middle one, or average the middle two in
+    ``float64``), so the values are the same bit for bit."""
+    vals = counters.reshape(-1).take(flat)
+    vals *= signs
+    vals.sort(axis=1)
+    rows = vals.shape[1]
+    mid = rows // 2
+    if rows % 2:
+        return vals[:, mid].astype(np.float64)
+    return (vals[:, mid - 1].astype(np.float64) + vals[:, mid]) / 2
 
 
 class UniversalSketch(Sketch):
@@ -53,31 +89,80 @@ class UniversalSketch(Sketch):
     """
 
     __slots__ = ("num_levels", "rows", "width", "heap_size", "seed",
-                 "counter_bytes", "sampler", "levels", "packets",
-                 "_version", "_snapshot", "_snapshot_lock")
+                 "counter_bytes", "sampler", "counters", "levels",
+                 "packets", "_hashing", "_version", "_snapshot",
+                 "_snapshot_lock")
 
     def __init__(self, levels: int = 16, rows: int = 5, width: int = 1024,
                  heap_size: int = 64, seed: Optional[int] = None,
                  counter_bytes: int = 4) -> None:
         if levels < 0:
             raise ConfigurationError(f"levels must be >= 0, got {levels}")
-        self.num_levels = levels
-        self.rows = rows
-        self.width = width
+        if rows < 1:
+            raise ConfigurationError(f"rows must be >= 1, got {rows}")
+        if width < 1:
+            raise ConfigurationError(f"width must be >= 1, got {width}")
+        self._setup(np.zeros((levels + 1, rows, width), dtype=np.int64),
+                    heap_size, seed, counter_bytes, None)
+
+    @classmethod
+    def around(cls, counters: np.ndarray, heap_size: int, seed: int,
+               heaps: List[TopK], counter_bytes: int = 4
+               ) -> "UniversalSketch":
+        """The sketch whose counter tensor is ``counters`` (a
+        C-contiguous ``(levels + 1, rows, width)`` ``int64`` array,
+        taken as is) and whose level heaps are ``heaps``; packet counts
+        and weights start at zero.  The decoder's constructor: no
+        counters are allocated."""
+        out = cls.__new__(cls)
+        out._setup(counters, heap_size, seed, counter_bytes, heaps)
+        return out
+
+    def _setup(self, counters: np.ndarray, heap_size: int,
+               seed: Optional[int], counter_bytes: int,
+               heaps: Optional[List[TopK]],
+               hashing: Optional[Tuple[LevelSampler, TabulationStack]] = None
+               ) -> None:
+        """Make ``counters`` this sketch's tensor: level ``j`` becomes a
+        :class:`SketchLevel` viewing ``counters[j]``, with heap
+        ``heaps[j]`` (an empty one when ``heaps`` is None) and no
+        packets or weight.  ``hashing`` is the ``(sampler, stack)`` to
+        share (never mutated); when None it is derived from ``seed``."""
+        depth, self.rows, self.width = counters.shape
+        self.num_levels = depth - 1
         self.heap_size = heap_size
         self.seed = seed
         self.counter_bytes = counter_bytes
-        sampler_seed, *level_seeds = derived_seeds(seed, levels + 2)
-        self.sampler = LevelSampler(levels, seed=sampler_seed)
+        if hashing is None:
+            seeds = derived_seeds(seed, depth + 1)
+            hashing = (LevelSampler(depth - 1, seed=seeds[0]),
+                       TabulationStack(seeds[1:], self.rows)
+                       if seed is None
+                       else tabulation_stack(seeds[1:], self.rows))
+        self.sampler, self._hashing = hashing
+        if heaps is None:
+            heaps = [TopK(heap_size) for _ in range(depth)]
+        stack = self._hashing
+        self.counters = counters
         self.levels: List[SketchLevel] = [
-            SketchLevel(rows=rows, width=width, heap_size=heap_size,
-                        seed=level_seed, counter_bytes=counter_bytes)
-            for level_seed in level_seeds
-        ]
+            SketchLevel.over(CountSketch.over(table, family, level_seed,
+                                              counter_bytes), heap)
+            for table, family, level_seed, heap in zip(
+                counters, stack.families, stack.seeds, heaps)]
         self.packets = 0
         self._version = 0     # bumped on every mutation
         self._snapshot = None  # cached QuerySnapshot for _version
         self._snapshot_lock = threading.Lock()  # one build per version
+
+    def _like(self, counters: np.ndarray,
+              heaps: List[TopK]) -> "UniversalSketch":
+        """A sketch with this one's geometry, seed and hash machinery
+        around ``counters`` and ``heaps``, with no packets or weight
+        yet."""
+        out = UniversalSketch.__new__(UniversalSketch)
+        out._setup(counters, self.heap_size, self.seed, self.counter_bytes,
+                   heaps, (self.sampler, self._hashing))
+        return out
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -94,6 +179,19 @@ class UniversalSketch(Sketch):
         (``counter_bytes`` per counter) and all heaps; this is the
         constructor the accuracy-vs-memory sweeps use.
         """
+        width = cls.width_for_budget(total_bytes, levels=levels, rows=rows,
+                                     heap_size=heap_size,
+                                     counter_bytes=counter_bytes)
+        return cls(levels=levels, rows=rows, width=width,
+                   heap_size=heap_size, seed=seed,
+                   counter_bytes=counter_bytes)
+
+    @staticmethod
+    def width_for_budget(total_bytes: int, levels: int = 16, rows: int = 5,
+                         heap_size: int = 64, counter_bytes: int = 4) -> int:
+        """The ``width`` :meth:`for_memory_budget` picks; raises
+        :class:`~repro.errors.ConfigurationError` when the budget cannot
+        hold 8 counters per row."""
         heap_bytes = (levels + 1) * heap_size * 16
         counter_budget = total_bytes - heap_bytes
         width = counter_budget // ((levels + 1) * rows * counter_bytes)
@@ -102,9 +200,7 @@ class UniversalSketch(Sketch):
                 f"memory budget {total_bytes}B too small for {levels + 1} "
                 f"levels x {rows} rows (needs >= "
                 f"{heap_bytes + (levels + 1) * rows * counter_bytes * 8}B)")
-        return cls(levels=levels, rows=rows, width=int(width),
-                   heap_size=heap_size, seed=seed,
-                   counter_bytes=counter_bytes)
+        return int(width)
 
     @staticmethod
     def levels_for(expected_distinct: int, heap_size: int = 64) -> int:
@@ -140,9 +236,11 @@ class UniversalSketch(Sketch):
         and sampling depth is computed for the distinct keys only.
         Level ``j`` then folds in the distinct keys of depth ``>= j``,
         hashing each once for both its counter update and its heap
-        refresh (:meth:`SketchLevel.update_distinct`).  Counters, heaps,
-        packets and weights equal a per-packet bulk update of the same
-        batch; the cost follows distinct keys, not packets.
+        refresh: all levels at once when the batch has few distinct
+        keys, level by level otherwise (see :meth:`_update_array`).
+        Counters, heaps, packets and weights equal a per-packet bulk
+        update of the same batch; the cost follows distinct keys, not
+        packets.
 
         Raises :class:`~repro.errors.ConfigurationError` for a malformed
         batch (see :func:`~repro.sketches.base.check_batch`).
@@ -168,10 +266,62 @@ class UniversalSketch(Sketch):
     def _update_array(self, keys: np.ndarray,
                       weights: Optional[np.ndarray], n: int) -> int:
         """The body of :meth:`update_array` on a checked batch of ``n``
-        packets; returns the batch's distinct-key count."""
+        packets; returns the batch's distinct-key count.
+
+        A key of depth ``d`` is in levels ``0..d``, so the batch makes
+        ``distinct + sum(depths)`` ``(key, level)`` pairs.  While their
+        ``(pairs, rows)`` temporaries are no larger than the tensor the
+        fused kernel (:meth:`_update_pairs`) folds them in; a batch with
+        more distinct keys than that takes one
+        :meth:`SketchLevel.update_distinct` per level, whose per-row
+        ``bincount`` beats a scatter-add of that many entries.
+        """
         keys, packets, weights = aggregate(keys, weights)
         depths = self.sampler.deepest_level_array(keys)
-        distinct = len(keys)
+        pairs = len(keys) + int(depths.sum())
+        if pairs * self.rows <= self.counters.size:
+            self._update_pairs(keys, packets, weights, depths)
+        else:
+            self._update_levels(keys, packets, weights, depths)
+        self.packets += n
+        self._version += 1
+        return len(keys)
+
+    def _update_pairs(self, keys: np.ndarray, packets: np.ndarray,
+                      weights: np.ndarray, depths: np.ndarray) -> None:
+        """Fold an aggregated batch into every level at once: one hash
+        gather, one scatter-add and one post-update gather over all its
+        ``(key, level)`` pairs, then one heap offer per level.  Same
+        counters, heaps, packets and weights as
+        :meth:`_update_levels`."""
+        deepest = int(depths.max())
+        # Level-major pairs: level j holds the keys of depth >= j, still
+        # ascending, so each level's slice is what _update_levels hands
+        # that level.
+        level, index = np.nonzero(depths >= np.arange(deepest + 1)[:, None])
+        bounds = np.searchsorted(level, np.arange(deepest + 2))
+        pair_keys = keys[index]
+        pair_weights = weights[index]
+        flat, signs = self._pair_slots(pair_keys, level)
+        counters = self.counters
+        np.add.at(counters.reshape(-1), flat, signs * pair_weights[:, None])
+        estimates = _medians(counters, flat, signs)
+        starts = bounds[:-1]
+        level_packets = np.add.reduceat(packets[index], starts).tolist()
+        level_weights = np.add.reduceat(pair_weights, starts).tolist()
+        bounds = bounds.tolist()
+        for j in range(deepest + 1):
+            lvl = self.levels[j]
+            lvl.packets += level_packets[j]
+            lvl.weight += level_weights[j]
+            lo, hi = bounds[j], bounds[j + 1]
+            lvl.topk.offer_many(pair_keys[lo:hi], estimates[lo:hi],
+                                sorted_keys=True)
+
+    def _update_levels(self, keys: np.ndarray, packets: np.ndarray,
+                       weights: np.ndarray, depths: np.ndarray) -> None:
+        """Fold an aggregated batch in level by level, each level's
+        distinct keys with one :meth:`SketchLevel.update_distinct`."""
         for j, level in enumerate(self.levels):
             if j:
                 # Depth is prefix-closed, so level j's keys are the
@@ -183,9 +333,23 @@ class UniversalSketch(Sketch):
                     keys[deeper], packets[deeper], weights[deeper],
                     depths[deeper])
             level.update_distinct(keys, packets, weights)
-        self.packets += n
-        self._version += 1
-        return distinct
+
+    def _pair_slots(self, keys: np.ndarray, level: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Where each ``(keys[p], level[p])`` pair lands in every row:
+        its counters' indices into the flattened tensor and their signs
+        (``+1``/``-1``), as two ``(pairs, rows)`` ``int64`` arrays.
+        Bucket and sign derive from each row's hash as the scalar path
+        derives them (hash modulo ``width``, top bit)."""
+        rows, width = self.rows, self.width
+        hashes = self._hashing.hash_pairs(keys, level)
+        flat = (hashes % np.uint64(width)).view(np.int64)
+        flat += (level * (rows * width))[:, None]
+        flat += np.arange(0, rows * width, width)
+        signs = (hashes >> np.uint64(63)).view(np.int64)
+        signs *= 2
+        signs -= 1
+        return flat, signs
 
     @property
     def total_weight(self) -> int:
@@ -302,61 +466,68 @@ class UniversalSketch(Sketch):
 
     def _combine(self, others: Tuple["UniversalSketch", ...],
                  sign: int) -> "UniversalSketch":
-        """``self ± sum(others)`` on a copy of ``self``.
+        """``self ± sum(others)`` as a new sketch.
 
-        Counter tables, packet counts, weights and heap churn counters
-        are summed; each level's ``Q_j`` is then rebuilt once, from the
-        union of every input's heap keys re-queried against the summed
-        counters.  With no ``others`` the result is a plain copy.
+        The counter tensors are folded into one new tensor; packet
+        counts, weights and heap churn counters are summed.  Each
+        level's ``Q_j`` is then rebuilt once, from the union of every
+        input's heap keys at that level, re-queried against the summed
+        counters with one fused gather over all levels.  With no
+        ``others`` the result is a plain copy.
         """
         for other in others:
             self._check_compatible(other)
-        out = self.copy()
         if not others:
-            return out
+            return self.copy()
         fold = np.add if sign > 0 else np.subtract
-        for j, lvl in enumerate(out.levels):
-            parts = [other.levels[j] for other in others]
-            table = lvl.sketch.table
-            for part in parts:
-                fold(table, part.sketch.table, out=table)
-            lvl.packets += sum(part.packets for part in parts)
-            lvl.weight += sign * sum(part.weight for part in parts)
+        counters = fold(self.counters, others[0].counters)
+        for other in others[1:]:
+            fold(counters, other.counters, out=counters)
+        parts = [[level] + [other.levels[j] for other in others]
+                 for j, level in enumerate(self.levels)]
+        unions = [np.unique(np.concatenate(
+            [part.topk.arrays()[0] for part in level_parts]))
+            for level_parts in parts]
+        sizes = [len(keys) for keys in unions]
+        keys = np.concatenate(unions)
+        level = np.repeat(np.arange(self.num_levels + 1), sizes)
+        estimates = _medians(counters, *self._pair_slots(keys, level))
+        heaps = []
+        start = 0
+        for level_parts, size in zip(parts, sizes):
             # One offer_many over the sorted key union keeps the rebuild
             # O(capacity) in Python work and deterministic; the churn
             # counters are then overwritten with the inputs' sums, so
             # they keep meaning "data-plane churn of the combined stream"
             # rather than counting this control-plane rebuild.
-            heaps = [lvl.topk] + [part.topk for part in parts]
-            keys = np.unique(np.concatenate([h.arrays()[0] for h in heaps]))
             heap = TopK(self.heap_size)
-            if len(keys):
-                heap.offer_many(keys, lvl.sketch.query_many(keys),
-                                sorted_keys=True)
-            heap.offers = sum(h.offers for h in heaps)
-            heap.evictions = sum(h.evictions for h in heaps)
-            heap.rejections = sum(h.rejections for h in heaps)
-            lvl.topk = heap
-        out.packets += sum(other.packets for other in others)
+            heap.offer_many(keys[start:start + size],
+                            estimates[start:start + size], sorted_keys=True)
+            start += size
+            inputs = [part.topk for part in level_parts]
+            heap.offers = sum(h.offers for h in inputs)
+            heap.evictions = sum(h.evictions for h in inputs)
+            heap.rejections = sum(h.rejections for h in inputs)
+            heaps.append(heap)
+        out = self._like(counters, heaps)
+        for lvl, (mine, *theirs) in zip(out.levels, parts):
+            lvl.packets = mine.packets + sum(part.packets for part in theirs)
+            lvl.weight = mine.weight + sign * sum(part.weight
+                                                  for part in theirs)
+        out.packets = self.packets + sum(other.packets for other in others)
         return out
 
     def copy(self) -> "UniversalSketch":
-        """An independent snapshot: counters and heaps are duplicated,
-        hash machinery (immutable) is shared.  Mutating either sketch
-        afterwards leaves the other untouched."""
-        out = UniversalSketch.__new__(UniversalSketch)
-        out.num_levels = self.num_levels
-        out.rows = self.rows
-        out.width = self.width
-        out.heap_size = self.heap_size
-        out.seed = self.seed
-        out.counter_bytes = self.counter_bytes
-        out.sampler = self.sampler
-        out.levels = [level.copy() for level in self.levels]
+        """An independent snapshot: one copy of the counter tensor, fresh
+        level views of it and copies of the heaps; the hash machinery
+        (immutable) is shared.  Mutating either sketch afterwards leaves
+        the other untouched."""
+        out = self._like(self.counters.copy(),
+                         [level.topk.copy() for level in self.levels])
+        for mine, theirs in zip(out.levels, self.levels):
+            mine.packets = theirs.packets
+            mine.weight = theirs.weight
         out.packets = self.packets
-        out._version = 0
-        out._snapshot = None
-        out._snapshot_lock = threading.Lock()
         return out
 
     def merge(self, *others: "UniversalSketch") -> "UniversalSketch":

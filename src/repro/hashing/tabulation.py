@@ -173,14 +173,23 @@ class TabulationFamily:
 
     __slots__ = ("hashes", "stacked", "_derived")
 
-    def __init__(self, count: int, rng: random.Random) -> None:
-        self.hashes = tuple(TabulationHash(rng=rng) for _ in range(count))
-        self.stacked = np.empty((8, 256, count), dtype=np.uint64)
-        for r, h in enumerate(self.hashes):
-            self.stacked[:, :, r] = h._np_tables
-        self.stacked.flags.writeable = False  # shared: see tabulation_family
-        for r, h in enumerate(self.hashes):
-            h._np_tables = self.stacked[:, :, r]
+    def __init__(self, count: int, rng: random.Random,
+                 stacked: Optional[np.ndarray] = None) -> None:
+        """Draw ``count`` hashes from ``rng`` into ``stacked``, an
+        ``(8, 256, count)`` ``uint64`` array the family takes as its
+        table (a slice of a :class:`TabulationStack`), or into a new
+        one."""
+        if stacked is None:
+            stacked = np.empty((8, 256, count), dtype=np.uint64)
+        hashes = []
+        for r in range(count):
+            h = TabulationHash(rng=rng)
+            stacked[:, :, r] = h._np_tables
+            h._np_tables = stacked[:, :, r]
+            hashes.append(h)
+        stacked.flags.writeable = False  # shared: see tabulation_family
+        self.hashes = tuple(hashes)
+        self.stacked = stacked
         self._derived: dict = {}
 
     def hash_matrix(self, xs: np.ndarray) -> np.ndarray:
@@ -224,7 +233,55 @@ class TabulationFamily:
         return table
 
 
-#: Memoized seed-derived hash families (see :func:`tabulation_family`).
+class TabulationStack:
+    """Equal-size tabulation families held as one table.
+
+    ``table`` is ``(8, 256 * len(families), count)`` ``uint64``: family
+    ``f``'s ``stacked`` table is the view ``table[:, 256 * f:256 * (f +
+    1)]``, drawn in place, so the words exist once.  A byte value ``b``
+    of family ``f`` then selects ``count`` contiguous words at index
+    ``256 * f + b``, which is what lets :meth:`hash_pairs` hash keys
+    under any mix of the families with one ``take`` per key byte.  A
+    universal sketch keeps its levels' families this way (see
+    :func:`tabulation_stack`).
+    """
+
+    __slots__ = ("seeds", "table", "families")
+
+    def __init__(self, seeds: Tuple[int, ...], count: int) -> None:
+        self.seeds = seeds
+        table = np.empty((8, 256 * len(seeds), count), dtype=np.uint64)
+        self.families = tuple(
+            TabulationFamily(count, random.Random(seed),
+                             table[:, 256 * f:256 * (f + 1)])
+            for f, seed in enumerate(seeds))
+        table.flags.writeable = False
+        self.table = table
+
+    def hash_pairs(self, keys: np.ndarray,
+                   families: np.ndarray) -> np.ndarray:
+        """Every hash of family ``families[p]`` at ``keys[p]``, for each
+        pair ``p``: a C-ordered ``(len(keys), count)`` ``uint64`` array
+        whose row ``p`` equals column 0 of
+        ``self.families[families[p]].hash_matrix(keys[p:p + 1])``.
+        """
+        view = byte_view(keys)
+        base = np.left_shift(families, 8, dtype=np.intp)
+        index = np.empty(len(keys), dtype=np.intp)
+        table = self.table
+        # mode="clip" skips the bounds check (every index is in range).
+        np.add(base, view[:, 0], out=index)
+        out = np.take(table[0], index, axis=0, mode="clip")
+        scratch = np.empty_like(out)
+        for i in range(1, 8):
+            np.add(base, view[:, i], out=index)
+            np.take(table[i], index, axis=0, mode="clip", out=scratch)
+            np.bitwise_xor(out, scratch, out=out)
+        return out
+
+
+#: Memoized seed-derived hash families (see :func:`tabulation_family`)
+#: and stacks of them (see :func:`tabulation_stack`).
 #: Bounded: a pathological sweep over thousands of distinct seeds clears
 #: the cache rather than growing it without limit.  Each family holds
 #: its derived tables, so they are bounded and cleared with it.
@@ -282,3 +339,25 @@ def tabulation_family(seed: Optional[int], count: int) -> TabulationFamily:
         family = TabulationFamily(count, random.Random(seed))
         _FAMILY_CACHE[key] = family
     return family
+
+
+def tabulation_stack(seeds: Tuple[int, ...], count: int) -> TabulationStack:
+    """The families ``tabulation_family(seed, count)`` for each of
+    ``seeds``, drawn into one :class:`TabulationStack`.
+
+    Memoised per ``(seeds, count)`` like the families, and each family
+    is memoised as ``tabulation_family(seed, count)`` too, so the stack
+    counts one entry per family against the cache's bound.  For fresh
+    randomness build a :class:`TabulationStack` directly; it is never
+    cached.
+    """
+    key = (seeds, count)
+    stack = _FAMILY_CACHE.get(key)
+    if stack is None:
+        if len(_FAMILY_CACHE) + len(seeds) >= _FAMILY_CACHE_MAX:
+            _FAMILY_CACHE.clear()
+        stack = TabulationStack(seeds, count)
+        for seed, family in zip(seeds, stack.families):
+            _FAMILY_CACHE[(int(seed), count)] = family
+        _FAMILY_CACHE[key] = stack
+    return stack

@@ -71,8 +71,20 @@ class SuperSpreaderTask(Sketch):
 
     def update_array(self, keys: np.ndarray,
                      weights: Optional[np.ndarray] = None) -> None:
-        for key in np.asarray(keys, dtype=np.uint64).tolist():
-            self.update(int(key))
+        """Bulk path: the Bloom filter and the first-contact counters
+        end as the per-packet loop leaves them (the filter decides each
+        pair in batch order, :meth:`BloomFilter.add_if_new_array`); the
+        heap is refreshed once, from post-batch estimates of the sources
+        that made a first contact."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        new = self._bloom.add_if_new_array(keys)
+        sources = (keys[new] >> np.uint64(32)) & np.uint64(0xFFFFFFFF)
+        if not len(sources):
+            return
+        self._counts.update_array(sources)
+        uniq = np.unique(sources)
+        self._heap.offer_many(uniq, self._counts.query_many(uniq),
+                              sorted_keys=True)
 
     def distinct_destinations(self, src: int) -> float:
         """Estimated distinct destinations contacted by ``src``."""

@@ -75,6 +75,28 @@ class BloomFilter(Sketch):
                 self._bitmap[idx] = True
         return is_new
 
+    def add_if_new_array(self, keys: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`add_if_new` over a ``uint64`` key array, in
+        order: ``new[p]`` is what ``add_if_new(keys[p])`` returns once
+        the keys before it are in.
+
+        A key finds one of its bits unset exactly when the bit was unset
+        before the batch and no earlier key of the batch touched it, so
+        each bit's first toucher (one ``np.minimum.at``) decides every
+        key at once.  The bitmap ends as the per-key loop leaves it.
+        """
+        keys = np.asarray(keys, dtype=np.uint64)
+        n = len(keys)
+        bits = np.uint64(self.bits)
+        index = np.stack([(h.hash_array(keys) % bits).astype(np.intp)
+                          for h in self._hashes], axis=1)
+        order = np.arange(n)[:, None]
+        first = np.full(self.bits, n, dtype=np.intp)
+        np.minimum.at(first, index, order)
+        new = (~self._bitmap[index] & (first[index] == order)).any(axis=1)
+        self._bitmap[index] = True
+        return new
+
     def fill_ratio(self) -> float:
         return float(self._bitmap.mean())
 

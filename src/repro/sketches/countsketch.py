@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, IncompatibleSketchError
 from repro.hashing.tabulation import (
+    TabulationFamily,
     gather_packed,
     pack_tabulation_fields,
     tabulation_family,
@@ -62,6 +63,22 @@ class CountSketch(Sketch):
         self.counter_bytes = counter_bytes
         self.table = np.zeros((rows, width), dtype=np.int64)
         self._family = tabulation_family(seed, rows)
+
+    @classmethod
+    def over(cls, table: np.ndarray, family: TabulationFamily,
+             seed: Optional[int] = None,
+             counter_bytes: int = 4) -> "CountSketch":
+        """A Count Sketch whose counters are ``table``, a ``(rows,
+        width)`` ``int64`` array it updates in place but does not own
+        (one level of a universal sketch's counter tensor), hashing
+        with ``family``'s ``rows`` hashes."""
+        out = cls.__new__(cls)
+        out.rows, out.width = table.shape
+        out.seed = seed
+        out.counter_bytes = counter_bytes
+        out.table = table
+        out._family = family
+        return out
 
     def _packed_state(self):
         """Fused slot tables for the bulk path, built once per hash

@@ -549,3 +549,60 @@ class TestCounterBytes:
         assert a.merge(b).counter_bytes == 8
         assert a.subtract(b).counter_bytes == 8
         assert a.merge(b).memory_bytes() == a.memory_bytes()
+
+
+class TestCounterTensor:
+    """Every level's table is the view ``counters[j]`` of the sketch's
+    one counter tensor, whatever built the sketch."""
+
+    @staticmethod
+    def assert_views(sketch):
+        counters = sketch.counters
+        assert counters.shape == (sketch.num_levels + 1, sketch.rows,
+                                  sketch.width)
+        assert counters.dtype == np.int64 and counters.flags.c_contiguous
+        for j, level in enumerate(sketch.levels):
+            table = level.sketch.table
+            assert np.shares_memory(table, counters[j])
+            assert table.shape == counters[j].shape
+            assert np.array_equal(table, counters[j])
+            others = np.delete(np.arange(len(counters)), j)
+            assert not any(np.shares_memory(table, counters[k])
+                           for k in others)
+
+    def test_views_after_every_constructor(self, make_rng):
+        from repro.core import serialization
+        from repro.network.codec import DeltaDecoder, DeltaEncoder
+
+        a, b = make(width=40), make(width=40)
+        self.assert_views(a)
+        rng = make_rng(3)
+        a.update_array(rng.integers(0, 500, 3000).astype(np.uint64))
+        b.update_array(rng.integers(0, 500, 3000).astype(np.uint64))
+        built = [a.copy(), a.merge(), a.merge(b), a.merge(b, a),
+                 a.subtract(b), serialization.loads(serialization.dumps(a)),
+                 DeltaDecoder().decode(DeltaEncoder().encode(a))]
+        for sketch in built:
+            self.assert_views(sketch)
+            assert not np.shares_memory(sketch.counters, a.counters)
+            assert not np.shares_memory(sketch.counters, b.counters)
+        assert np.array_equal(built[0].counters, a.counters)
+        assert np.array_equal(built[5].counters, a.counters)
+
+    def test_scalar_update_writes_the_tensor(self):
+        u = make(levels=4, rows=3, width=64)
+        key = next(k for k in range(1000) if u.sampler.deepest_level(k) >= 2)
+        depth = u.sampler.deepest_level(key)
+        u.update(key, 7)
+        self.assert_views(u)
+        # One bucket per row at each level the key reaches, +-7 each.
+        assert np.array_equal(np.count_nonzero(u.counters, axis=(1, 2)),
+                              [3] * (depth + 1) + [0] * (4 - depth))
+        assert np.abs(u.counters).sum() == 7 * 3 * (depth + 1)
+
+    def test_level_writes_reach_the_tensor(self):
+        u = make(levels=2, rows=2, width=16)
+        u.levels[1].sketch.table[1, 5] = 42
+        assert u.counters[1, 1, 5] == 42
+        u.counters[2, 0, 3] = -9
+        assert u.levels[2].sketch.table[0, 3] == -9

@@ -77,3 +77,65 @@ class TestDetection:
                                  heap_size=16, seed=8)
         assert task.memory_bytes() == \
             (1 << 12) // 8 + 3 * 1024 * 4 + 16 * 16
+
+
+def _loop_task(keys, **kwargs):
+    """The per-packet path over ``keys``: what ``update_array`` was."""
+    task = SuperSpreaderTask(**kwargs)
+    for key in keys.tolist():
+        task.update(int(key))
+    return task
+
+
+class TestBulkMatchesLoop:
+    """The vectorised bulk path leaves the Bloom bitmap and the
+    first-contact Count-Min table exactly as the per-packet loop does."""
+
+    @staticmethod
+    def _pairs(seed, n, sources, destinations):
+        gen = np.random.default_rng(seed)
+        src = gen.integers(1, sources + 1, n, dtype=np.uint64)
+        dst = gen.integers(0, destinations, n, dtype=np.uint64)
+        return (src << np.uint64(32)) | dst
+
+    @pytest.mark.parametrize("bloom_bits", [64, 1024, 1 << 18])
+    def test_bitmap_and_table_equal_the_loop(self, bloom_bits):
+        keys = self._pairs(bloom_bits, 5_000, 40, 300)
+        kwargs = dict(rows=3, width=256, bloom_bits=bloom_bits,
+                      heap_size=16, seed=11)
+        loop = _loop_task(keys, **kwargs)
+        bulk = SuperSpreaderTask(**kwargs)
+        for chunk in np.array_split(keys, 3):
+            bulk.update_array(chunk)
+        assert np.array_equal(bulk._bloom._bitmap, loop._bloom._bitmap)
+        assert np.array_equal(bulk._counts.table, loop._counts.table)
+
+    def test_tiny_filter_has_false_positives(self):
+        # At 64 bits most fresh pairs collide with set bits: the bulk
+        # path must suppress exactly the first contacts the loop does.
+        keys = self._pairs(3, 2_000, 50, 1_000)
+        loop = _loop_task(keys, bloom_bits=64, seed=12)
+        distinct = len(np.unique(keys))
+        assert loop._counts.table[0].sum() < distinct
+        bulk = SuperSpreaderTask(bloom_bits=64, seed=12)
+        bulk.update_array(keys)
+        assert np.array_equal(bulk._counts.table, loop._counts.table)
+
+    def test_first_contact_flags_match_add_if_new(self):
+        from repro.sketches.bloom import BloomFilter
+        keys = self._pairs(4, 3_000, 20, 200)
+        loop, bulk = (BloomFilter(bits=512, num_hashes=4, seed=5)
+                      for _ in range(2))
+        bulk.add_if_new_array(keys[:100])
+        for key in keys[:100].tolist():
+            loop.add_if_new(key)
+        flags = [loop.add_if_new(key) for key in keys[100:].tolist()]
+        assert bulk.add_if_new_array(keys[100:]).tolist() == flags
+        assert np.array_equal(bulk._bitmap, loop._bitmap)
+
+    def test_empty_batch_is_a_no_op(self):
+        task = SuperSpreaderTask(seed=13)
+        task.update_array(np.array([], dtype=np.uint64))
+        assert not task._bloom._bitmap.any()
+        assert not task._counts.table.any()
+        assert task.superspreaders(0) == []

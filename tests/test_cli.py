@@ -432,3 +432,23 @@ class TestServeCommand:
                      "--epoch", "0.1", "--epochs", "1",
                      "--memory-kb", "64"]) == 0
         assert get_registry() is NULL_REGISTRY
+
+
+class TestMemoryBudget:
+    """An impossible ``--memory-kb`` exits 2 with the geometry's message,
+    before any sketch is built or any socket bound."""
+
+    @pytest.mark.parametrize("command", ["run", "detect", "query", "agent"])
+    def test_too_small_budget_exits_2(self, tmp_path, capsys, command):
+        trace = tmp_path / "trace.csv"
+        main(["generate", "--out", str(trace), "--packets", "200",
+              "--flows", "20", "--duration", "1", "--seed", "1"])
+        capsys.readouterr()
+        args = [command, "--trace", str(trace), "--memory-kb", "0"]
+        if command == "agent":
+            args += ["--port", "0"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "memory budget 0B too small for 13 levels x 5 rows" \
+            in captured.err
+        assert "switch agent on" not in captured.out
