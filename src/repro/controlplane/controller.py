@@ -9,7 +9,7 @@ results are collected into :class:`EpochReport`s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs import observe_sketch
@@ -20,6 +20,14 @@ from repro.dataplane.switch import MonitoredSwitch
 from repro.dataplane.trace import Trace
 from repro.core.query import QueryEngine
 from repro.core.universal import UniversalSketch
+
+
+def seal_stage(reg, stage: str):
+    """Span one stage of an epoch seal in
+    ``univmon_epoch_seal_seconds{stage=}``: ``poll``, ``observe``,
+    ``snapshot``, ``apps`` and, in the service, ``publish``."""
+    return reg.span("univmon_epoch_seal_seconds",
+                    help="epoch seal latency by stage", stage=stage)
 
 
 @dataclass
@@ -37,12 +45,13 @@ class EpochReport:
 
 
 class AppHost:
-    """Registered estimation apps and their per-epoch fan-out.
+    """Registered estimation apps and the one place epoch reports are built.
 
     Shared by :class:`Controller` and
     :class:`~repro.network.hierarchy.HierarchicalCoordinator`, so both
-    reject duplicate app names, build one query snapshot per published
-    epoch, and time each app under ``univmon_app_seconds{app=}``.
+    reject duplicate app names, account every evaluated epoch in the
+    ``univmon_epoch*`` series, build one query snapshot per epoch, and
+    time each app under ``univmon_app_seconds{app=}``.
     """
 
     def __init__(self) -> None:
@@ -59,32 +68,41 @@ class AppHost:
     def apps(self) -> List[MonitoringApp]:
         return list(self._apps)
 
-    def run_apps(self, sketch, epoch_index: int, report: EpochReport,
-                 trace: Optional[Trace] = None) -> None:
-        """Hand one epoch's sketch to every app, results into ``report``.
+    def evaluate_sealed(self, sealed, epoch_index: int,
+                        start_time: float = 0.0,
+                        end_time: float = 0.0) -> EpochReport:
+        """Account one sealed sketch and hand it to every app.
 
-        The epoch's query snapshot is materialised once, up front: every
-        app reads the (immutable-from-here) sketch, so they all share
-        that build via the version-guarded cache.  Trace-aware apps
-        (e.g. the detection pipeline, which feeds zoom and reversible
-        sketches from raw packets) get ``trace`` before estimation;
-        sketch-only apps don't implement the hook.
+        The report's packet count is the sealed sketch's own.  The
+        epoch's query snapshot is materialised once, before the apps
+        run: every app reads the (immutable-from-here) sketch, so they
+        all share that build via the version-guarded cache.
         """
-        if not self._apps:
-            return
-        QueryEngine(sketch).warm()
-        if trace is not None:
-            for app in self._apps:
-                observe = getattr(app, "observe_trace", None)
-                if observe is not None:
-                    observe(trace)
         reg = get_registry()
-        for app in self._apps:
-            with reg.span("univmon_app_seconds",
-                          help="per-app estimation latency",
-                          app=app.name):
-                report.results[app.name] = app.on_sketch(sketch,
-                                                         epoch_index)
+        with seal_stage(reg, "observe"):
+            observe_sketch(sealed, reg)
+        packets = int(getattr(sealed, "packets", 0))
+        reg.counter("univmon_epochs_total",
+                    help="sealed epochs evaluated").inc()
+        reg.counter("univmon_epoch_packets_total",
+                    help="packets covered across all sealed epochs").inc(
+                        packets)
+        reg.gauge("univmon_epoch_packets",
+                  help="packets in the last sealed epoch").set(packets)
+        report = EpochReport(epoch_index=epoch_index, start_time=start_time,
+                             end_time=end_time, packets=packets)
+        if not self._apps:
+            return report
+        with seal_stage(reg, "snapshot"):
+            QueryEngine(sealed).warm()
+        with seal_stage(reg, "apps"):
+            for app in self._apps:
+                with reg.span("univmon_app_seconds",
+                              help="per-app estimation latency",
+                              app=app.name):
+                    report.results[app.name] = app.on_sketch(sealed,
+                                                             epoch_index)
+        return report
 
     def reset(self) -> None:
         """Drop cross-epoch app state (trace boundary)."""
@@ -122,6 +140,8 @@ class Controller(AppHost):
         self.switch = switch or MonitoredSwitch("s1")
         self.program = self.switch.attach("univmon", sketch_factory,
                                           key_function)
+        #: (min, max) timestamp ingested since the last seal, or None.
+        self._bounds: Optional[Tuple[float, float]] = None
 
     # ------------------------------------------------------------------ #
     # the poll loop
@@ -137,7 +157,7 @@ class Controller(AppHost):
     def run_epoch(self, epoch_trace: Trace, epoch_index: int) -> EpochReport:
         """Feed one epoch through the switch, poll, and estimate."""
         self.ingest(epoch_trace)
-        _sealed, report = self.seal_epoch(epoch_index, trace=epoch_trace)
+        _sealed, report = self.seal_epoch(epoch_index)
         return report
 
     # ------------------------------------------------------------------ #
@@ -149,12 +169,27 @@ class Controller(AppHost):
 
         The batch loop calls this once per epoch; the always-on service
         calls it per arriving chunk and seals on a wall-clock timer via
-        :meth:`seal_epoch` — same data path, different pacing.
+        :meth:`seal_epoch` — same data path, different pacing.  The
+        chunk's min/max timestamps widen the open epoch's bounds (min/max,
+        not first/last: traces are not guaranteed time-sorted), and apps
+        with an ``observe_trace`` hook (the detection pipeline) see the
+        chunk, in registration order.  Nothing keeps the chunk.
         """
         with get_registry().span(
                 "univmon_epoch_ingest_seconds",
                 help="wall time feeding one epoch into the switch"):
             self.switch.process_trace(trace)
+            if len(trace):
+                start = float(trace.timestamps.min())
+                end = float(trace.timestamps.max())
+                if self._bounds is not None:
+                    start = min(start, self._bounds[0])
+                    end = max(end, self._bounds[1])
+                self._bounds = (start, end)
+            for app in self._apps:
+                observe = getattr(app, "observe_trace", None)
+                if observe is not None:
+                    observe(trace)
 
     def seal_epoch(self, epoch_index: int,
                    trace: Optional[Trace] = None) -> tuple:
@@ -162,35 +197,13 @@ class Controller(AppHost):
 
         Returns ``(sealed_sketch, EpochReport)`` — callers that need the
         sealed sketch itself (the service publishes its query snapshot)
-        get it without a second poll.  ``trace`` is optional: it powers
-        the per-epoch timestamps and trace-aware apps (detection zoom /
-        recovery); timer-driven callers that do not retain packets pass
-        None and those apps degrade as documented.
+        get it without a second poll.  The report spans the timestamps
+        :meth:`ingest` saw since the last seal (0.0 and 0.0 for an epoch
+        without packets).  ``trace`` is ignored; it is still accepted
+        because ``perfbench/w_switch.py`` passes it.
         """
-        sealed = self.switch.poll("univmon")
-        report = self.evaluate_sealed(sealed, epoch_index, trace=trace)
-        return sealed, report
-
-    def evaluate_sealed(self, sealed, epoch_index: int,
-                        trace: Optional[Trace] = None) -> EpochReport:
-        """Account one sealed sketch and fan it out to the apps."""
-        reg = get_registry()
-        observe_sketch(sealed, reg)
-        packets = len(trace) if trace is not None \
-            else int(getattr(sealed, "packets", 0))
-        reg.counter("univmon_epochs_total",
-                    help="epochs sealed by the controller").inc()
-        reg.counter("univmon_epoch_packets_total",
-                    help="packets covered across all sealed epochs").inc(
-                        packets)
-        reg.gauge("univmon_epoch_packets",
-                  help="packets in the last sealed epoch").set(packets)
-        # min/max, not [0]/[-1]: traces are not guaranteed time-sorted.
-        t0 = float(trace.timestamps.min()) \
-            if trace is not None and len(trace) else 0.0
-        t1 = float(trace.timestamps.max()) \
-            if trace is not None and len(trace) else 0.0
-        report = EpochReport(epoch_index=epoch_index, start_time=t0,
-                             end_time=t1, packets=packets)
-        self.run_apps(sealed, epoch_index, report, trace=trace)
-        return report
+        with seal_stage(get_registry(), "poll"):
+            sealed = self.switch.poll("univmon")
+        start, end = self._bounds or (0.0, 0.0)
+        self._bounds = None
+        return sealed, self.evaluate_sealed(sealed, epoch_index, start, end)

@@ -169,21 +169,6 @@ class QuerySnapshot:
             self._level_offsets = offsets
         return self._flat_mags, self._level_offsets
 
-    def gvalues(self, g: GFunction, min_weight: float = 0.5) \
-            -> List[np.ndarray]:
-        """Per-level ``g(|w|)`` with sub-``min_weight`` entries zeroed.
-
-        The returned arrays are contiguous views into one fused
-        ``g`` application, so the per-level reductions downstream see
-        exactly the values (and summation order) of a per-level apply.
-        """
-        flat, offsets = self._flat()
-        vals = g.apply_array(flat)
-        if min_weight > 0.0:
-            vals = np.where(flat >= min_weight, vals, 0.0)
-        return [vals[offsets[j]:offsets[j + 1]]
-                for j in range(len(self.mags))]
-
     def _coeffs(self) -> np.ndarray:
         """Recursive-Sum coefficients aligned with the flat magnitudes.
 
@@ -303,7 +288,13 @@ class Statistic:
         """``"name[:param]"`` → Statistic (the ``univmon query`` syntax).
 
         ``hh[:fraction]``, ``cardinality``/``f0``, ``l1``, ``l2``,
-        ``f2``, ``entropy[:base]``, ``moment:p``.
+        ``f2``, ``entropy[:base]``, ``moment:p``.  Specs arrive from
+        outside (``POST /query``, ``univmon query --stats``), so a
+        parameter that is not a finite number in range raises
+        :class:`ConfigurationError` naming the spec: the fraction must
+        be in (0, 1], the base > 0 and not 1 (or ``e``/``nats``), and
+        the order in [0, 2], the Stream-PolyLog range of
+        :func:`~repro.core.gfunctions.make_moment`.
         """
         name, _, param = spec.strip().partition(":")
         kind = cls._ALIASES.get(name.lower())
@@ -312,20 +303,48 @@ class Statistic:
                 f"unknown statistic {spec!r} (know: "
                 f"{', '.join(sorted(set(cls._ALIASES)))})")
         if kind == "heavy_hitters":
-            return cls.heavy_hitters(float(param) if param else 0.005)
+            fraction = _spec_number(spec, param) if param else 0.005
+            if not 0.0 < fraction <= 1.0:
+                raise ConfigurationError(
+                    f"bad statistic {spec!r}: the fraction must be in "
+                    f"(0, 1]")
+            return cls.heavy_hitters(fraction)
         if kind == "entropy":
-            base = math.e if param in ("e", "nats") \
-                else (float(param) if param else 2.0)
+            if param in ("e", "nats"):
+                return cls.entropy(math.e)
+            base = _spec_number(spec, param) if param else 2.0
+            if base <= 0.0 or base == 1.0:
+                raise ConfigurationError(
+                    f"bad statistic {spec!r}: the base must be > 0 and "
+                    f"not 1")
             return cls.entropy(base)
         if kind == "moment":
             if not param:
                 raise ConfigurationError(
                     "moment needs an order, e.g. 'moment:1.5'")
-            return cls.moment(float(param))
+            p = _spec_number(spec, param)
+            if not 0.0 <= p <= 2.0:
+                raise ConfigurationError(
+                    f"bad statistic {spec!r}: the order must be in [0, 2]")
+            return cls.moment(p)
         if param:
             raise ConfigurationError(
                 f"statistic {name!r} takes no parameter (got {spec!r})")
         return getattr(cls, kind)()
+
+
+def _spec_number(spec: str, param: str) -> float:
+    """A statistic spec's parameter as a finite float, or
+    :class:`ConfigurationError` naming the spec."""
+    try:
+        value = float(param)
+    except ValueError:
+        raise ConfigurationError(
+            f"bad statistic {spec!r}: {param!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigurationError(
+            f"bad statistic {spec!r}: {param!r} is not finite")
+    return value
 
 
 #: The paper's §3.4 task set plus F2 — the default batch.

@@ -6,7 +6,7 @@ StreaMon for mitigation hooks).  Two actions are wired here, both thin
 drivers over primitives that already exist in the repo:
 
 ``zoom``
-    Feed the epoch's trace through a shared
+    Feed the epoch's packets through a shared
     :class:`~repro.network.zoom.ZoomMonitor`, refining the monitored
     source subspace one ladder step around whatever is hot.  The zoom
     monitor persists across epochs, so consecutive CONFIRMED epochs walk
@@ -19,14 +19,17 @@ drivers over primitives that already exist in the repo:
     CONFIRMED epochs reverse both the *raw* stream (sustained heavies —
     the victim of a DDoS shows up here on the dst feature) and the
     *difference* stream (what changed since the previous epoch — the
-    attack delta, robust to heavy-but-benign baseline flows).  The
-    reversal threshold auto-raises when the preimage enumeration would
-    blow up (``ConfigurationError`` from ``recover_heavy_keys``).
+    attack delta, robust to heavy-but-benign baseline flows).  Each chunk
+    is folded into the open epoch's sketches as it arrives; they are
+    linear, so an epoch fed in chunks has the counters of one update over
+    the whole epoch.  The reversal threshold auto-raises when the
+    preimage enumeration would blow up (``ConfigurationError`` from
+    ``recover_heavy_keys``).
 
-When the pipeline runs without a trace (the remote coordinator only has
-merged sketches), recovery degrades to the sealed universal sketch's own
-G-core: for reversible key functions (src/dst) those level-0 keys *are*
-addresses, so the event still names concrete keys, labeled
+When an epoch arrives without packets (the hierarchical coordinator only
+has merged sketches), recovery degrades to the sealed universal sketch's
+own G-core: for reversible key functions (src/dst) those level-0 keys
+*are* addresses, so the event still names concrete keys, labeled
 ``stream="snapshot"``.
 """
 
@@ -38,6 +41,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.core.universal import UniversalSketch
+from repro.dataplane.trace import Trace
 from repro.network.zoom import ZoomMonitor
 from repro.sketches.reversible import ReversibleSketch
 
@@ -102,6 +106,9 @@ class RecoveryAction:
             sketch_factory = lambda: ReversibleSketch(  # noqa: E731
                 rows=4, chunk_bits=8, bucket_bits_per_chunk=3, seed=seed)
         self._factory = sketch_factory
+        #: The open epoch's sketches; None until a chunk arrives.
+        self._open: Optional[Dict[str, ReversibleSketch]] = None
+        self._open_packets = 0
         self._current: Dict[str, ReversibleSketch] = {}
         self._previous: Dict[str, ReversibleSketch] = {}
         self._packets = 0
@@ -109,17 +116,26 @@ class RecoveryAction:
 
     # -- per-epoch maintenance ------------------------------------------ #
 
-    def observe(self, trace) -> None:
-        """Absorb one epoch's trace (runs every epoch, alert or not)."""
-        self._previous = self._current
-        self._prev_packets = self._packets
-        self._current = {}
-        self._packets = len(trace)
-        for feature in self.features:
-            sketch = self._factory()
-            column = self._COLUMNS[feature](trace)
+    def observe(self, chunk) -> None:
+        """Fold one chunk into the open epoch's sketches (every chunk,
+        alert or not)."""
+        if self._open is None:
+            self._open = {feature: self._factory()
+                          for feature in self.features}
+        for feature, sketch in self._open.items():
+            column = self._COLUMNS[feature](chunk)
             sketch.update_array(column.astype(np.uint64))
-            self._current[feature] = sketch
+        self._open_packets += len(chunk)
+
+    def seal(self) -> bool:
+        """Close the open epoch: open becomes current, current becomes
+        previous.  False, with nothing rotated, when no chunk arrived."""
+        if self._open is None:
+            return False
+        self._previous, self._prev_packets = self._current, self._packets
+        self._current, self._packets = self._open, self._open_packets
+        self._open, self._open_packets = None, 0
+        return True
 
     # -- the action ----------------------------------------------------- #
 
@@ -165,6 +181,8 @@ class RecoveryAction:
                 for key, weight in heavy[:max_keys]]
 
     def reset(self) -> None:
+        self._open = None
+        self._open_packets = 0
         self._current = {}
         self._previous = {}
         self._packets = 0
@@ -175,19 +193,36 @@ class ZoomAction:
     """Shared :class:`ZoomMonitor` fed on CONFIRMED epochs only.
 
     The zoom monitor keeps its own refinement state and hold-down
-    counters; this wrapper just rations trace feeds to at most one per
-    epoch regardless of how many rules request zooming.
+    counters; this wrapper holds the open epoch's chunks until the seal
+    (concatenating them only on a CONFIRMED epoch) and rations feeds to
+    at most one per epoch regardless of how many rules request zooming.
+    The monitor sees each confirmed epoch whole: fed chunk by chunk, its
+    heaps would be built from per-chunk offers and could rank, and so
+    refine, other keys.
     """
 
     def __init__(self, zoom: Optional[ZoomMonitor] = None) -> None:
         self.zoom = zoom or ZoomMonitor(
             sketch_factory=lambda: UniversalSketch(
                 levels=10, rows=4, width=512, heap_size=32, seed=11))
+        self._chunks: List[Trace] = []
         self._fed_epoch: Optional[int] = None
 
-    def refine(self, trace, epoch_index: int) -> List[Tuple[int, int]]:
-        """Feed the trace once for this epoch; returns refined regions."""
-        if trace is not None and self._fed_epoch != epoch_index:
+    def observe(self, chunk) -> None:
+        """Hold one chunk of the open epoch."""
+        self._chunks.append(chunk)
+
+    def seal(self) -> List[Trace]:
+        """Hand over the open epoch's chunks and hold none."""
+        chunks, self._chunks = self._chunks, []
+        return chunks
+
+    def refine(self, chunks: List[Trace],
+               epoch_index: int) -> List[Tuple[int, int]]:
+        """Feed the epoch's chunks once for this epoch; returns refined
+        regions."""
+        if chunks and self._fed_epoch != epoch_index:
+            trace = chunks[0] if len(chunks) == 1 else Trace.concat(chunks)
             self.zoom.process_epoch(trace)
             self._fed_epoch = epoch_index
         return self.zoom.monitored_regions()
@@ -195,6 +230,7 @@ class ZoomAction:
     def reset(self) -> None:
         self.zoom.refined.clear()
         getattr(self.zoom, "_cold", {}).clear()
+        self._chunks = []
         self._fed_epoch = None
 
 

@@ -17,10 +17,11 @@ estimation app and consumes each sealed epoch sketch.  Per epoch it:
    :class:`DetectionEvent`\\ s, mirrored into the obs layer as
    ``univmon_detect_*`` counters and spans.
 
-The controller hands the pipeline the epoch's raw trace through the
-optional ``observe_trace`` hook before ``on_sketch``; without it (the
-remote coordinator only ships merged sketches) the pipeline still
-detects — actions degrade to snapshot-based recovery and no zoom.
+The controller hands the pipeline every ingested chunk through the
+optional ``observe_trace`` hook, before the epoch's ``on_sketch``;
+without it (the hierarchical coordinator only ships merged sketches) the
+pipeline still detects — actions degrade to snapshot-based recovery and
+no zoom.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class DetectionEvent:
     baselines: Dict[str, Optional[float]] = field(default_factory=dict)
     recovered_keys: List[Dict[str, object]] = field(default_factory=list)
     zoom_regions: List[Tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def is_transition(self) -> bool:
-        return self.state_from != self.state_to
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -185,31 +182,35 @@ class DetectionPipeline(MonitoringApp):
         self.zoom_action = ZoomAction(zoom) if self._needs_zoom else None
         self.keep_events = keep_events
         self.events: List[DetectionEvent] = []
-        self._trace = None           # set by observe_trace, per epoch
         self._prev_sketch = None     # defensive copy, only when needed
         self.recover_fraction = recover_fraction
 
     # -- controller hooks ------------------------------------------------ #
 
-    def observe_trace(self, trace) -> None:
-        """Receive the raw epoch trace (optional controller hook).
+    def observe_trace(self, chunk) -> None:
+        """Receive one chunk of the open epoch (optional controller hook).
 
-        Runs *before* ``on_sketch`` for the same epoch; the trace powers
-        zoom refinement and reversible-sketch maintenance.  Sketch-only
-        hosts (the remote coordinator) simply never call this.
+        Runs for every chunk *before* ``on_sketch`` for the same epoch;
+        the chunks power reversible-sketch maintenance and zoom
+        refinement.  Sketch-only hosts (the hierarchical coordinator)
+        simply never call this.
         """
-        self._trace = trace
+        # Maintain recovery sketches on every chunk (the difference
+        # stream needs the previous epoch ready *before* anything
+        # confirms).
+        if self.recovery is not None:
+            with get_registry().span("univmon_detect_action_seconds",
+                                     help="detection action latency",
+                                     action="maintain"):
+                self.recovery.observe(chunk)
+        if self.zoom_action is not None:
+            self.zoom_action.observe(chunk)
 
     def on_sketch(self, sketch, epoch_index: int) -> Dict[str, Any]:
         reg = get_registry()
-        trace = self._trace
-        self._trace = None
-        # Maintain recovery sketches every epoch (the difference stream
-        # needs the previous epoch ready *before* anything confirms).
-        if self.recovery is not None and trace is not None:
-            with reg.span("univmon_detect_action_seconds",
-                          help="detection action latency", action="maintain"):
-                self.recovery.observe(trace)
+        fed = self.recovery is not None and self.recovery.seal()
+        chunks = self.zoom_action.seal() if self.zoom_action is not None \
+            else []
 
         needed: FrozenSet[str] = frozenset().union(
             *(rule.metrics() for rule in self.rules))
@@ -253,7 +254,7 @@ class DetectionPipeline(MonitoringApp):
                 with reg.span("univmon_detect_action_seconds",
                               help="detection action latency",
                               action="respond"):
-                    self._run_actions(rule, event, sketch, trace,
+                    self._run_actions(rule, event, sketch, fed, chunks,
                                       epoch_index, recovered_cache)
                 if event.recovered_keys and recovered_cache is None:
                     recovered_cache = event.recovered_keys
@@ -271,14 +272,14 @@ class DetectionPipeline(MonitoringApp):
         }
 
     def _run_actions(self, rule: Rule, event: DetectionEvent, sketch,
-                     trace, epoch_index: int,
+                     fed: bool, chunks, epoch_index: int,
                      recovered_cache) -> None:
         reg = get_registry()
         if "recover" in rule.actions:
             if recovered_cache is not None:
                 # Another rule already reversed this epoch's streams.
                 event.recovered_keys = list(recovered_cache)
-            elif self.recovery is not None and trace is not None:
+            elif fed:
                 event.recovered_keys = self.recovery.recover()
             else:
                 event.recovered_keys = RecoveryAction.recover_from_snapshot(
@@ -288,7 +289,8 @@ class DetectionPipeline(MonitoringApp):
                             help="keys recovered by detection actions").inc(
                                 len(event.recovered_keys))
         if "zoom" in rule.actions and self.zoom_action is not None:
-            event.zoom_regions = self.zoom_action.refine(trace, epoch_index)
+            event.zoom_regions = self.zoom_action.refine(chunks,
+                                                         epoch_index)
 
     # -- introspection --------------------------------------------------- #
 
@@ -306,7 +308,6 @@ class DetectionPipeline(MonitoringApp):
         if self.zoom_action is not None:
             self.zoom_action.reset()
         self.events.clear()
-        self._trace = None
         self._prev_sketch = None
 
 

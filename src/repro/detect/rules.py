@@ -155,10 +155,6 @@ class Comparison(Condition):
                 f"percent change must be in (0, 1000), "
                 f"got {self.threshold}")
 
-    @property
-    def needs_baseline(self) -> bool:
-        return self.op in ("spikes", "drops", "rises")
-
     def evaluate(self, values: Mapping[str, Optional[float]],
                  baselines: Mapping[str, Optional[float]]) -> bool:
         value = values.get(self.metric)

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CodecError, ConfigurationError, TransportError
-from repro.obs import observe_sketch
 from repro.obs.metrics import get_registry
 from repro.controlplane.controller import AppHost, EpochReport
 from repro.network.codec import DeltaDecoder, DeltaEncoder
@@ -464,8 +463,11 @@ class HierarchicalCoordinator(AppHost):
                     help="leaf polls and probes that exhausted their "
                          "retries").inc(transport_failures)
 
-        report = EpochReport(epoch_index=epoch_index, start_time=0.0,
-                             end_time=0.0, packets=covered_packets)
+        if status != "withheld" and covered_leaves:
+            report = self.evaluate_sealed(merged, epoch_index)
+        else:
+            report = EpochReport(epoch_index=epoch_index, start_time=0.0,
+                                 end_time=0.0, packets=covered_packets)
         report.results["coverage"] = {
             "topology": self.plan.describe(),
             "switches_total": total,
@@ -491,9 +493,6 @@ class HierarchicalCoordinator(AppHost):
             "dead_aggregators": sorted(self._dead),
             "health": self.health.snapshot(),
         }
-        if status != "withheld" and covered_leaves:
-            observe_sketch(merged, reg)
-            self.run_apps(merged, epoch_index, report)
         self.health.tick()
         self._acc = None
         return report

@@ -182,6 +182,8 @@ class ServiceHttp:
                     content_length = int(value.strip())
                 except ValueError:
                     raise HttpError(400, "bad Content-Length")
+                if content_length < 0:
+                    raise HttpError(400, "bad Content-Length")
         else:
             raise HttpError(400, "too many headers")
         if content_length > _MAX_BODY:
@@ -266,7 +268,7 @@ class ServiceHttp:
         if epoch is None:
             record = self.service.ring.latest()
         else:
-            if not isinstance(epoch, int):
+            if not isinstance(epoch, int) or isinstance(epoch, bool):
                 raise HttpError(400, "epoch must be an integer")
             record = self.service.ring.get(epoch)
         if record is None:

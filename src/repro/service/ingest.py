@@ -9,7 +9,9 @@ schedules event fan-out onto the asyncio loop, after which this thread
 is back to ingesting.  The serving side can be saturated, slow, or
 absent; the only ingest-side cost of serving is CPU the OS scheduler
 gives to the other thread (measured by ``bench_service.py``; budget
-<= 10%).
+<= 10%).  The loop holds no packets: each chunk is dropped after its
+``ingest`` call, and a seal is the same ``seal_epoch`` call the batch
+loop makes.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from typing import Callable, Iterable, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_registry
+from repro.controlplane.controller import seal_stage
 from repro.dataplane.trace import Trace
 
-#: on_epoch callback: (sealed_sketch, EpochReport, epoch_trace) -> None
-EpochCallback = Callable[[object, object, Trace], None]
+#: on_epoch callback: (sealed_sketch, EpochReport) -> None
+EpochCallback = Callable[[object, object], None]
 
 
 class IngestLoop(threading.Thread):
@@ -43,7 +46,7 @@ class IngestLoop(threading.Thread):
     epoch_seconds:
         Wall-clock sealing interval.
     on_epoch:
-        Called *from this thread* with ``(sealed, report, trace)``
+        Called *from this thread* with ``(sealed, report)``
         after each seal; must be fast and non-blocking (the service
         publishes a ring record and schedules fan-out).
     max_epochs:
@@ -104,7 +107,7 @@ class IngestLoop(threading.Thread):
     def _run(self) -> None:
         reg = get_registry()
         deadline = self._clock() + self.epoch_seconds
-        pending = []
+        open_epoch = False      # a chunk was ingested since the last seal
         source = iter(self.chunks)
         while not self._stop_event.is_set():
             if self.max_epochs is not None \
@@ -115,26 +118,25 @@ class IngestLoop(threading.Thread):
             except StopIteration:
                 break
             self.controller.ingest(chunk)
-            pending.append(chunk)
+            open_epoch = True
             self.packets_ingested += len(chunk)
             if self.chunk_sleep > 0.0:
                 self._sleep(self.chunk_sleep)
             if self._clock() >= deadline:
-                self._seal(pending, reg)
-                pending = []
+                self._seal(reg)
+                open_epoch = False
                 deadline = self._clock() + self.epoch_seconds
         # Finite source exhausted or stop requested: drain what's left
         # so no ingested packet goes unpublished (graceful shutdown).
-        if pending and (self.max_epochs is None
-                        or self.epochs_sealed < self.max_epochs):
-            self._seal(pending, reg)
+        if open_epoch and (self.max_epochs is None
+                           or self.epochs_sealed < self.max_epochs):
+            self._seal(reg)
 
-    def _seal(self, pending, reg) -> None:
-        trace = pending[0] if len(pending) == 1 else Trace.concat(pending)
+    def _seal(self, reg) -> None:
         with reg.span("univmon_service_seal_seconds",
                       help="epoch seal + snapshot build + publication "
                            "latency"):
-            sealed, report = self.controller.seal_epoch(
-                self.epochs_sealed, trace=trace)
-            self.on_epoch(sealed, report, trace)
+            sealed, report = self.controller.seal_epoch(self.epochs_sealed)
+            with seal_stage(reg, "publish"):
+                self.on_epoch(sealed, report)
         self.epochs_sealed += 1

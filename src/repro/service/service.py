@@ -127,7 +127,7 @@ class MonitoringService:
     # the seal callback (runs on the ingest thread)
     # ------------------------------------------------------------------ #
 
-    def _on_epoch(self, sealed, report, trace: Trace) -> None:
+    def _on_epoch(self, sealed, report) -> None:
         # make_record builds the epoch's snapshot; the statistics
         # evaluation below then reuses it through the version-guarded
         # cache, and warms the shared memo for the first reader query.

@@ -146,6 +146,29 @@ class TestPollLoop:
         assert report.start_time == pytest.approx(0.0)
         assert report.end_time == pytest.approx(4.0)
 
+    def test_chunked_seal_reports_like_run_epoch(self, small_trace):
+        """An epoch ingested as chunks out of time order and sealed with
+        ``seal_epoch`` reports what ``run_epoch`` reports for the whole
+        epoch: the packet count and the min/max timestamps."""
+        import numpy as np
+
+        epoch = small_trace.epochs(2.0)[0]
+        whole = make_controller().run_epoch(epoch, 0)
+        rng = np.random.default_rng(4)
+        order = rng.permutation(len(epoch))
+        c = make_controller()
+        for index in np.array_split(order, 5)[::-1]:
+            c.ingest(epoch._take(index))
+        _sealed, chunked = c.seal_epoch(0)
+        assert (chunked.packets, chunked.start_time, chunked.end_time) == \
+            (whole.packets, whole.start_time, whole.end_time)
+        assert chunked.packets == len(epoch)
+        assert chunked.start_time < chunked.end_time
+        # The bounds reset at the seal: an empty epoch reports 0.0, 0.0.
+        _sealed, empty = c.seal_epoch(1)
+        assert (empty.packets, empty.start_time, empty.end_time) == \
+            (0, 0.0, 0.0)
+
     def test_trace_hook_reaches_trace_aware_apps(self, small_trace):
         """Apps exposing ``observe_trace`` get each epoch's raw trace
         before estimation (the detection pipeline relies on this)."""

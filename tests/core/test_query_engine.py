@@ -364,3 +364,18 @@ class TestStatisticParse:
     def test_spurious_parameter_rejected(self):
         with pytest.raises(ConfigurationError):
             Statistic.parse("l1:3")
+
+    def test_range_edges_accepted(self):
+        assert Statistic.parse("hh:1").fraction == 1.0
+        assert Statistic.parse("entropy:0.5").base == 0.5
+        assert Statistic.parse("moment:0").name == "moment_0"
+        assert Statistic.parse("moment:2").name == "moment_2"
+
+    @pytest.mark.parametrize("spec", [
+        "hh:abc", "hh:0", "hh:-1", "hh:1.5", "hh:nan", "hh:inf",
+        "entropy:abc", "entropy:0", "entropy:-2", "entropy:1",
+        "entropy:nan", "moment:-3", "moment:2.5", "moment:3",
+        "moment:nan", "moment:1e999"])
+    def test_parameter_out_of_range_names_the_spec(self, spec):
+        with pytest.raises(ConfigurationError, match=spec):
+            Statistic.parse(spec)

@@ -210,6 +210,43 @@ class TestActions:
         [event] = [e for e in pipe.events if e.state_to == "confirmed"]
         assert (0x0B000000, 8) in event.zoom_regions
 
+    def test_chunked_epochs_act_like_whole_epochs(self):
+        """Recovery and zoom see every chunk: a pipeline fed each epoch
+        in chunks emits the events of one fed each epoch whole, given
+        the same sealed sketches."""
+        rng = np.random.default_rng(13)
+        attacker, victim = 0x0B0B0B0B, 0xC0A80001
+        epochs = []
+        for i, surge in enumerate((False, False, True, True)):
+            sources = rng.integers(1, 2_000, size=800)
+            dst = 0x0A000001
+            if surge:
+                sources = np.concatenate([
+                    sources, 0x0B000000 | rng.integers(0, 1 << 24, 3000),
+                    np.full(3000 + 1000 * i, attacker)])
+                dst = victim
+            epochs.append(trace_of(rng.permutation(sources), dst=dst,
+                                   t0=float(i)))
+        rule = spike_rule(actions=("recover", "zoom"))
+        chunked = DetectionPipeline([rule], recover_fraction=0.1)
+        whole = DetectionPipeline([rule], recover_fraction=0.1)
+        for i, trace in enumerate(epochs):
+            for index in np.array_split(np.arange(len(trace)), 4):
+                chunked.observe_trace(trace._take(index))
+            whole.observe_trace(trace)
+            sketch = sketch_of(trace.src)
+            chunked.on_sketch(sketch, i)
+            whole.on_sketch(sketch, i)
+        events = [event.to_dict() for event in whole.events]
+        assert [event.to_dict() for event in chunked.events] == events
+        confirmed = [e for e in events if e["to"] == "confirmed"]
+        assert len(confirmed) == 2
+        streams = {(r["feature"], r["stream"])
+                   for e in confirmed for r in e["recovered_keys"]}
+        assert {("src", "raw"), ("dst", "raw"),
+                ("src", "difference")} <= streams
+        assert all(e["zoom_regions"] for e in confirmed)
+
     def test_actions_opt_out(self):
         rng = np.random.default_rng(9)
         rule = spike_rule(actions=())

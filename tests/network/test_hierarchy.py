@@ -167,6 +167,21 @@ class TestHealthyTree:
         report = net.epoch()
         assert report.results["cardinality"]["distinct"] > 0
 
+    def test_recovery_falls_back_to_the_merged_snapshot(self):
+        """The tree sees no packets, so a confirmed ``recover`` rule
+        names keys from the merged sketch's own heap."""
+        from repro.detect import DetectionPipeline, Rule
+        net = Net(n=6, fanout=3)
+        net.coord.register(DetectionPipeline(
+            [Rule(name="volume", when="packets > 100", confirm_epochs=1,
+                  actions=("recover",))], recover_fraction=0.05))
+        net.feed()
+        [event] = net.epoch()["detect"]["events"]
+        assert event["to"] == "confirmed"
+        assert event["recovered_keys"]
+        assert {r["stream"] for r in event["recovered_keys"]} == \
+            {"snapshot"}
+
     @pytest.mark.parametrize("transfer", ["delta", "raw"])
     def test_every_frame_is_full(self, transfer):
         """Either transfer mode ships full frames only: 6 leaf frames

@@ -182,6 +182,74 @@ class TestControllerMetrics:
         assert reg.get("univmon_topk_offers_total", level="0").value > 0
 
 
+class TestSealStages:
+    """``univmon_epoch_seal_seconds{stage=}`` splits every seal: the
+    controller polls, and every host observes, snapshots and runs its
+    apps; the service adds ``publish``."""
+
+    STAGES = ("observe", "snapshot", "apps")
+
+    def test_controller_epochs_time_each_stage(self):
+        trace = generate_trace(SyntheticTraceConfig(
+            packets=2000, flows=300, duration=10.0, seed=8))
+        controller = Controller(sketch_factory=_small_sketch,
+                                epoch_seconds=5.0)
+        controller.register(CardinalityApp())
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            epochs = len(controller.run_trace(trace))
+        for stage in ("poll",) + self.STAGES:
+            assert reg.get("univmon_epoch_seal_seconds",
+                           stage=stage).count == epochs
+        assert reg.get("univmon_epoch_seal_seconds", stage="publish") \
+            is None
+
+    def test_service_seal_adds_publish(self):
+        from repro.service.ingest import IngestLoop
+        trace = generate_trace(SyntheticTraceConfig(
+            packets=2000, flows=300, duration=2.0, seed=8))
+        controller = Controller(sketch_factory=_small_sketch)
+        published = []
+        loop = IngestLoop(controller, trace.epochs(0.5),
+                          epoch_seconds=3600.0,    # only the drain seals
+                          on_epoch=lambda *args: published.append(args))
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            loop.run()
+        assert loop.error is None and len(published) == 1
+        for stage in ("poll", "observe", "publish"):
+            assert reg.get("univmon_epoch_seal_seconds",
+                           stage=stage).count == 1
+        assert reg.get("univmon_service_seal_seconds").count == 1
+
+    def test_tree_epochs_count_as_epochs(self):
+        from repro.network.faults import SimLink, SimulatedSwitch
+        from repro.network.hierarchy import HierarchicalCoordinator
+        switches = {f"sw{i}": SimulatedSwitch(f"sw{i}", _small_sketch)
+                    for i in range(4)}
+        coordinator = HierarchicalCoordinator(
+            {name: SimLink(switch) for name, switch in switches.items()},
+            _small_sketch, fanout=2)
+        coordinator.register(CardinalityApp())
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            for epoch in range(2):
+                for switch in switches.values():
+                    switch.feed(_keys(n=100, seed=epoch))
+                coordinator.run_epoch()
+        assert reg.get("univmon_epochs_total").value == 2
+        assert reg.get("univmon_epoch_packets_total").value == 800
+        for stage in self.STAGES:
+            assert reg.get("univmon_epoch_seal_seconds",
+                           stage=stage).count == 2
+        assert reg.get("univmon_epoch_seal_seconds", stage="poll") is None
+
+    def test_default_registry_spans_are_no_ops(self):
+        from repro.controlplane.controller import seal_stage
+        from repro.obs import NULL_REGISTRY, NULL_SPAN
+        assert seal_stage(NULL_REGISTRY, "poll") is NULL_SPAN
+
+
 class TestHealthTrackerMetrics:
     def test_transitions_exported_with_edge_labels(self):
         reg = MetricsRegistry()

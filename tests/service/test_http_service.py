@@ -13,6 +13,21 @@ from repro.service import ServiceConfig
 from tests.service.conftest import http_get, http_post
 
 
+def raw_request(port, data, timeout=5.0):
+    """Send raw request bytes; returns (status, parsed JSON body)."""
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=timeout) as sock:
+        sock.sendall(data)
+        response = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
 def wait_for_epochs(service, n, timeout=30.0):
     deadline = time.monotonic() + timeout
     while service.ingest.epochs_sealed < n:
@@ -86,6 +101,43 @@ class TestEndpoints:
         assert status == 404
         status, body = http_get(port, "/query")  # GET on a POST route
         assert status == 405
+
+    #: Bodies that once got no response at all: the statistic parsed,
+    #: or failed outside ConfigurationError, and the handler raised.
+    HOSTILE_QUERIES = (
+        {"statistics": ["hh:abc"]},
+        {"statistics": ["hh:-1"]},
+        {"statistics": ["hh:nan"]},
+        {"statistics": ["entropy:abc"]},
+        {"statistics": ["entropy:0"]},
+        {"statistics": ["entropy:1"]},
+        {"statistics": ["moment:-3"]},
+        {"statistics": ["moment:3"]},
+        {"statistics": ["moment:nan"]},
+        {"statistics": ["moment:1e999"]},
+        {"epoch": True},
+    )
+
+    def test_hostile_queries_get_400(self, make_service, registry):
+        service = make_service(ServiceConfig(
+            port=0, epoch_seconds=0.1, max_epochs=2))
+        assert service.wait(timeout=30)
+        port = service.port
+        for payload in self.HOSTILE_QUERIES:
+            status, body = http_post(port, "/query", payload)
+            assert status == 400, payload
+            assert body["error"], payload
+        status, body = raw_request(
+            port, b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
+        assert (status, body) == (400, {"error": "bad Content-Length"})
+        status, health = http_get(port, "/healthz")
+        assert status == 200 and health["status"] == "ok"
+        assert registry.counter(
+            "univmon_service_requests_total", route="/query",
+            status="400").value == len(self.HOSTILE_QUERIES)
+        assert registry.counter(
+            "univmon_service_requests_total", route="unparsed",
+            status="400").value == 1
 
     def test_query_before_first_epoch_is_404(self, make_service):
         service = make_service(ServiceConfig(

@@ -300,6 +300,12 @@ class TestQueryCommand:
         assert main(["query", "--trace", str(trace), "--stats", ","]) == 2
         assert "bad --stats" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["entropy:1", "moment:3", "moment:nan"])
+    def test_out_of_range_stats_rejected(self, tmp_path, capsys, spec):
+        trace = self._trace(tmp_path)
+        assert main(["query", "--trace", str(trace), "--stats", spec]) == 2
+        assert "bad --stats" in capsys.readouterr().err
+
 
 class TestPlotFlag:
     def test_experiment_plot_renders_chart(self, capsys):
